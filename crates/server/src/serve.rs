@@ -453,7 +453,11 @@ fn worker_loop(state: &ServerState) {
             envelope
         };
         if let Some(envelope) = envelope {
+            // While another worker is busy too, the simulator's helper
+            // threads leave this op's kernel launches to this thread.
+            let busy = rayon::mark_busy();
             let response = execute_op(state, &tenant, envelope.op);
+            drop(busy);
             let _ = envelope.reply.send(response);
         }
         // Hand the turn back. Re-check the queue afterwards: a submitter

@@ -19,7 +19,9 @@ pub struct Dpu {
     pub(crate) dma_cycles: u64,
     /// DMA bytes moved during the current kernel.
     pub(crate) kernel_dma_bytes: u64,
-    /// Lifetime counters for reporting.
+    /// Lifetime counters for reporting, up to the start of the current
+    /// kernel (whose counters above are added on read), so kernels never
+    /// store into them.
     pub(crate) total_instr: u64,
     pub(crate) total_dma_bytes: u64,
 }
@@ -121,6 +123,8 @@ impl Dpu {
 
     /// Resets per-kernel counters (called by the system before a launch).
     pub(crate) fn reset_kernel_counters(&mut self) {
+        self.total_instr = self.lifetime_instructions();
+        self.total_dma_bytes = self.lifetime_dma_bytes();
         self.tasklet_instr.iter_mut().for_each(|c| *c = 0);
         self.dma_cycles = 0;
         self.kernel_dma_bytes = 0;
@@ -128,12 +132,12 @@ impl Dpu {
 
     /// Lifetime instruction count (all kernels).
     pub fn lifetime_instructions(&self) -> u64 {
-        self.total_instr
+        self.total_instr + self.tasklet_instr.iter().sum::<u64>()
     }
 
     /// Lifetime MRAM↔WRAM DMA traffic in bytes (all kernels).
     pub fn lifetime_dma_bytes(&self) -> u64 {
-        self.total_dma_bytes
+        self.total_dma_bytes + self.kernel_dma_bytes
     }
 }
 

@@ -163,8 +163,10 @@ impl<'a> Tasklet<'a> {
     /// WRAM loads/stores) to this tasklet.
     #[inline]
     pub fn charge(&mut self, n: u64) {
+        // The counter lives in the DPU's own heap buffer, not in the
+        // system's `Vec<Dpu>`, so DPUs simulated on different host threads
+        // never store into a shared cache line here.
         self.dpu.tasklet_instr[self.id] += n;
-        self.dpu.total_instr += n;
     }
 
     /// Charges `n` 32-bit multiply/divide operations (multi-cycle on the
@@ -262,16 +264,18 @@ impl<'a> Tasklet<'a> {
         // Round each burst to the 8-byte transfer granularity and charge
         // per ≤2048-byte burst.
         let mut remaining = bytes.div_ceil(8) * 8;
+        let (mut cycles, mut moved) = (0, 0);
         loop {
             let burst = remaining.min(MAX_DMA_BYTES);
-            self.dpu.dma_cycles += self.cost.dma_cycles(burst);
-            self.dpu.kernel_dma_bytes += burst;
-            self.dpu.total_dma_bytes += burst;
+            cycles += self.cost.dma_cycles(burst);
+            moved += burst;
             if remaining <= MAX_DMA_BYTES {
                 break;
             }
             remaining -= burst;
         }
+        self.dpu.dma_cycles += cycles;
+        self.dpu.kernel_dma_bytes += moved;
     }
 }
 

@@ -200,6 +200,42 @@ fn dead_dpu_semantics_on_functional_backend() {
     dead_dpu_semantics::<FunctionalBackend>();
 }
 
+/// Kernels on DPUs 9 and 41 fail with different errors. Every DPU does
+/// some work first, so the launch may spread over host threads, and DPU 9
+/// does the most, so when it does spread DPU 41 fails first. The launch
+/// must still report the lower DPU's error, as a sequential loop would.
+fn lowest_failing_dpu_wins<B: PimBackend>() {
+    let mut sys: B = tiny(64);
+    let err = sys
+        .execute(|ctx| {
+            let id = ctx.dpu_id();
+            let mut t = ctx.tasklet(0)?;
+            for _ in 0..if id == 9 { 2_000_000 } else { 20_000 } {
+                t.charge(1);
+            }
+            match id {
+                9 => t.mram_write(4, &[1u32]),
+                41 => t.alloc_wram::<u64>(1 << 20).map(|_| ()),
+                _ => Ok(()),
+            }
+        })
+        .unwrap_err();
+    assert!(
+        matches!(err, SimError::BadDma { dpu: 9, .. }),
+        "expected DPU 9's error, got {err:?}"
+    );
+}
+
+#[test]
+fn lowest_failing_dpu_wins_on_timed_backend() {
+    lowest_failing_dpu_wins::<TimedBackend>();
+}
+
+#[test]
+fn lowest_failing_dpu_wins_on_functional_backend() {
+    lowest_failing_dpu_wins::<FunctionalBackend>();
+}
+
 fn corruption_flips_exactly_one_byte<B: PimBackend>() {
     // corrupt=1000000 fires on every transfer op that has a payload.
     let mut sys: B = faulty(2, "seed=5,corrupt=1000000");
