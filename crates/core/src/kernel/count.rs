@@ -26,28 +26,35 @@
 //! `Adaptive` (the default) picks per pair from the simulator's cost
 //! model — probe cost vs. amortized streaming cost — mirroring how
 //! hand-tuned DPU code sizes these thresholds offline.
+//!
+//! Index probes and the intersections read the bank through uncharged
+//! [`pim_sim::MramView`]s. Each routine counts the probes, steps and
+//! buffer refills a buffered kernel with the same WRAM buffers would
+//! make, and bills them in bulk at the end: the totals are sums, so the
+//! modeled instructions and DMA are exactly those of the buffered code
+//! (the test-only `kernel::buffered` oracle pins this).
 
 use super::layout::{Header, MramLayout};
 use super::{key_first, key_second};
-use pim_sim::{DpuContext, SimResult, Tasklet};
+use pim_sim::{DpuContext, MramView, SimError, SimResult, Tasklet};
 use serde::{Deserialize, Serialize};
 
 /// Instructions per merge comparison (two WRAM loads, compare, branch,
 /// cursor bump).
-const MERGE_INSTR_PER_CMP: u64 = 5;
+pub(super) const MERGE_INSTR_PER_CMP: u64 = 5;
 /// Instructions per binary-search probe beyond the DMA itself.
-const PROBE_INSTR: u64 = 8;
+pub(super) const PROBE_INSTR: u64 = 8;
 /// Instructions of per-edge fixed overhead (unpack, loop control).
-const EDGE_INSTR: u64 = 6;
+pub(super) const EDGE_INSTR: u64 = 6;
 /// Instructions per short-side key in galloping mode (run bookkeeping,
 /// loop control) beyond the probes themselves.
-const GALLOP_INSTR_PER_KEY: u64 = 6;
+pub(super) const GALLOP_INSTR_PER_KEY: u64 = 6;
 /// Instructions to set or test one bitmap bit (shift, mask, or/and).
-const BITMAP_INSTR_PER_KEY: u64 = 3;
+pub(super) const BITMAP_INSTR_PER_KEY: u64 = 3;
 /// Instructions per 64-bit word to clear the bitmap between pairs.
-const BITMAP_INSTR_PER_CLEAR_WORD: u64 = 1;
+pub(super) const BITMAP_INSTR_PER_CLEAR_WORD: u64 = 1;
 /// Instructions to evaluate the adaptive strategy choice for one pair.
-const STRATEGY_INSTR: u64 = 8;
+pub(super) const STRATEGY_INSTR: u64 = 8;
 /// Smallest `min(|u|, |v|)` for which the adaptive mode considers the
 /// bitmap: below this the range probes and clear don't amortize.
 const BITMAP_MIN_KEYS: u64 = 64;
@@ -55,12 +62,12 @@ const BITMAP_MIN_KEYS: u64 = 64;
 /// full `u`-region index lookup up front: with a tiny `v` side, only a
 /// very long `u`-list can make any strategy beat the merge, and that is
 /// testable with a single far probe instead of a binary search.
-const PROBE_MIN_V: u64 = 16;
+pub(super) const PROBE_MIN_V: u64 = 16;
 /// Far-probe distance for the tiny-`v` gate: if the sample key
 /// `LONG_U_PROBE` slots ahead still belongs to `u`, the `u`-list is long
 /// enough that galloping the tiny `v` side over it wins and the full
 /// lookup is justified.
-const LONG_U_PROBE: u64 = 256;
+pub(super) const LONG_U_PROBE: u64 = 256;
 
 /// How the count kernel locates a node's region in the index table.
 /// `BinarySearch` is the paper's design (§3.4); `LinearScan` is the
@@ -140,7 +147,7 @@ pub fn count_kernel_with(
 }
 
 /// Which intersection routine handles one `(u-list, v-region)` pair.
-enum Pick {
+pub(super) enum Pick {
     Merge,
     Gallop,
     Bitmap,
@@ -156,7 +163,9 @@ pub fn count_kernel_opts(
 ) -> SimResult<u64> {
     let hdr = {
         let mut t0 = ctx.tasklet(0)?;
-        Header::read(&mut t0)?
+        let hdr = Header::read(&mut t0)?;
+        check_resident(&t0, layout, &hdr)?;
+        hdr
     };
     let len = hdr.len;
     let index_len = hdr.index_len;
@@ -176,14 +185,16 @@ pub fn count_kernel_opts(
             let ways = if wants_bitmap { 4 } else { 3 };
             let b = ((t.wram_free() / 8) / ways).max(4);
             let mut buf_e = t.alloc_wram::<u64>(b)?;
-            let mut buf_u = t.alloc_wram::<u64>(b)?;
-            let mut buf_v = t.alloc_wram::<u64>(b)?;
+            // The u- and v-side stream buffers the intersections' views
+            // stand for.
+            t.alloc_wram::<u64>(2 * b)?;
             let mut bitmap: Vec<u64> = if wants_bitmap {
                 t.alloc_wram::<u64>(b)?
             } else {
                 Vec::new()
             };
             let bitmap_bits = bitmap.len() as u64 * 64;
+            let b = b as u64;
             // The `u`-region end of the most recent distinct `u`:
             // consecutive edges in a block share `u`, so the extra
             // index search amortizes to ~one per vertex per block.
@@ -194,10 +205,10 @@ pub fn count_kernel_opts(
             let mut count = 0u64;
             // Strided blocks of edges per tasklet.
             let mut block = t.id() as u64;
-            let blocks = len.div_ceil(b as u64);
+            let blocks = len.div_ceil(b);
             while block < blocks {
-                let start = block * b as u64;
-                let n = (b as u64).min(len - start) as usize;
+                let start = block * b;
+                let n = b.min(len - start) as usize;
                 t.mram_read(layout.sample_slot(start), &mut buf_e[..n])?;
                 for (i, &key) in buf_e.iter().enumerate().take(n) {
                     let g = start + i as u64;
@@ -213,17 +224,7 @@ pub fn count_kernel_opts(
                         continue;
                     };
                     if matches!(strategy, IntersectStrategy::Merge) {
-                        count += merge_intersect(
-                            t,
-                            layout,
-                            u,
-                            g + 1,
-                            len,
-                            v_start,
-                            v_end,
-                            &mut buf_u,
-                            &mut buf_v,
-                        )?;
+                        count += merge_intersect(t, layout, u, g + 1, len, v_start, v_end, b)?;
                         continue;
                     }
                     let u_from = g + 1;
@@ -239,8 +240,7 @@ pub fn count_kernel_opts(
                         t.charge(1);
                         buf_e[i + 1]
                     } else {
-                        t.charge(PROBE_INSTR);
-                        t.mram_read_one(layout.sample_slot(u_from))?
+                        probe_sample(t, layout, u_from)?
                     };
                     if key_first(next) != u {
                         continue; // empty u-list: nothing to intersect
@@ -255,16 +255,12 @@ pub fn count_kernel_opts(
                         && u_cache.is_none_or(|(node, _)| node != u)
                     {
                         let far = u_from + LONG_U_PROBE;
-                        let long_u = short_u_cache != Some(u) && far < len && {
-                            t.charge(PROBE_INSTR);
-                            let probe: u64 = t.mram_read_one(layout.sample_slot(far))?;
-                            key_first(probe) == u
-                        };
+                        let long_u = short_u_cache != Some(u)
+                            && far < len
+                            && key_first(probe_sample(t, layout, far)?) == u;
                         if !long_u {
                             short_u_cache = Some(u);
-                            count += merge_intersect(
-                                t, layout, u, u_from, len, v_start, v_end, &mut buf_u, &mut buf_v,
-                            )?;
+                            count += merge_intersect(t, layout, u, u_from, len, v_start, v_end, b)?;
                             continue;
                         }
                     }
@@ -298,18 +294,14 @@ pub fn count_kernel_opts(
                         IntersectStrategy::Merge => unreachable!("handled above"),
                     };
                     count += match pick {
-                        Pick::Merge => merge_intersect(
-                            t, layout, u, u_from, len, v_start, v_end, &mut buf_u, &mut buf_v,
-                        )?,
+                        Pick::Merge => {
+                            merge_intersect(t, layout, u, u_from, len, v_start, v_end, b)?
+                        }
                         Pick::Gallop => {
                             if u_len <= v_len {
-                                gallop_intersect(
-                                    t, layout, u_from, u_end, v_start, v_end, &mut buf_u,
-                                )?
+                                gallop_intersect(t, layout, u_from, u_end, v_start, v_end, b)?
                             } else {
-                                gallop_intersect(
-                                    t, layout, v_start, v_end, u_from, u_end, &mut buf_v,
-                                )?
+                                gallop_intersect(t, layout, v_start, v_end, u_from, u_end, b)?
                             }
                         }
                         Pick::Bitmap => {
@@ -321,8 +313,7 @@ pub fn count_kernel_opts(
                                     u_end,
                                     v_start,
                                     v_end,
-                                    &mut buf_u,
-                                    &mut buf_v,
+                                    b,
                                     &mut bitmap,
                                 )?
                             } else {
@@ -330,10 +321,9 @@ pub fn count_kernel_opts(
                             };
                             match attempted {
                                 Some(c) => c,
-                                None => merge_intersect(
-                                    t, layout, u, u_from, len, v_start, v_end, &mut buf_u,
-                                    &mut buf_v,
-                                )?,
+                                None => {
+                                    merge_intersect(t, layout, u, u_from, len, v_start, v_end, b)?
+                                }
                             }
                         }
                     };
@@ -359,16 +349,16 @@ pub fn count_kernel_opts(
 /// streams the same words as the merge but replaces compare-advance
 /// instructions with cheaper set/test bit operations, paying two range
 /// probes and a clear of its words. The cheapest eligible strategy wins.
-fn choose_adaptive(
+pub(super) fn choose_adaptive(
     t: &Tasklet<'_>,
     u_len: u64,
     v_len: u64,
-    buf_len: usize,
+    buf_len: u64,
     bitmap_bits: u64,
 ) -> Pick {
     let cost = t.cost();
     let probe = cost.mram_probe_cycles() as f64 + PROBE_INSTR as f64;
-    let stream = cost.stream_word_cycles(buf_len as u64 * 8);
+    let stream = cost.stream_word_cycles(buf_len * 8);
     let short = u_len.min(v_len);
     let long = u_len.max(v_len);
     let merge_cost = (u_len + v_len) as f64 * (MERGE_INSTR_PER_CMP as f64 + stream);
@@ -387,6 +377,50 @@ fn choose_adaptive(
     }
 }
 
+/// Checks the header's sample and index lengths against their regions and
+/// the written bank, so a corrupt header fails the launch with a named
+/// error before any tasklet reads, and every later view is in bounds.
+pub(super) fn check_resident(t: &Tasklet<'_>, layout: &MramLayout, hdr: &Header) -> SimResult<()> {
+    for (offset, entries, cap) in [
+        (layout.sample_off, hdr.len, layout.capacity),
+        (layout.index_off, hdr.index_len, layout.capacity + 1),
+    ] {
+        if entries > cap {
+            return Err(SimError::BadAddress {
+                dpu: t.dpu_id(),
+                offset,
+                len: entries.saturating_mul(8),
+            });
+        }
+        t.mram_view::<u64>(offset, entries)?;
+    }
+    Ok(())
+}
+
+/// Bills `n` single-key MRAM probes: each is what one `mram_read_one` of
+/// a `u64` plus [`PROBE_INSTR`] costs.
+fn charge_probes(t: &mut Tasklet<'_>, n: u64) {
+    t.charge(n * PROBE_INSTR);
+    t.charge_dma_calls(8, n);
+}
+
+/// Bills the refills a WRAM buffer of `buf` keys makes to stream `loaded`
+/// consecutive keys: whole buffers, then one short refill for the
+/// remainder (only the refill that reaches the end of a range is short).
+fn charge_stream(t: &mut Tasklet<'_>, buf: u64, loaded: u64) {
+    t.charge_dma_calls(buf * 8, loaded / buf);
+    if !loaded.is_multiple_of(buf) {
+        t.charge_dma_calls(loaded % buf * 8, 1);
+    }
+}
+
+/// Reads sample slot `slot` as one billed probe.
+fn probe_sample(t: &mut Tasklet<'_>, layout: &MramLayout, slot: u64) -> SimResult<u64> {
+    let key = t.mram_view::<u64>(layout.sample_slot(slot), 1)?.get(0);
+    charge_probes(t, 1);
+    Ok(key)
+}
+
 /// Binary search of the region index for `node`. Returns the half-open
 /// sample range of edges whose first endpoint is `node`.
 pub(crate) fn lookup_region(
@@ -396,34 +430,32 @@ pub(crate) fn lookup_region(
     index_len: u64,
     sample_len: u64,
 ) -> SimResult<Option<(u64, u64)>> {
+    let index = t.mram_view::<u64>(layout.index_off, index_len)?;
+    let mut probes = 0u64;
     let (mut lo, mut hi) = (0u64, index_len);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        let entry: u64 = t.mram_read_one(layout.index_slot(mid))?;
-        t.charge(PROBE_INSTR);
-        if key_first(entry) < node {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+        probes += 1;
+        let below = key_first(index.get(mid)) < node;
+        lo = if below { mid + 1 } else { lo };
+        hi = if below { hi } else { mid };
+    }
+    let mut region = None;
+    if lo < index_len {
+        probes += 1;
+        let entry = index.get(lo);
+        if key_first(entry) == node {
+            let end = if lo + 1 < index_len {
+                probes += 1;
+                key_second(index.get(lo + 1)) as u64
+            } else {
+                sample_len
+            };
+            region = Some((key_second(entry) as u64, end));
         }
     }
-    if lo == index_len {
-        return Ok(None);
-    }
-    let entry: u64 = t.mram_read_one(layout.index_slot(lo))?;
-    t.charge(PROBE_INSTR);
-    if key_first(entry) != node {
-        return Ok(None);
-    }
-    let start = key_second(entry) as u64;
-    let end = if lo + 1 < index_len {
-        let next: u64 = t.mram_read_one(layout.index_slot(lo + 1))?;
-        t.charge(PROBE_INSTR);
-        key_second(next) as u64
-    } else {
-        sample_len
-    };
-    Ok(Some((start, end)))
+    charge_probes(t, probes);
+    Ok(region)
 }
 
 /// Ablation-baseline lookup: stream the index from the start until the
@@ -462,7 +494,8 @@ fn lookup_region_linear(
 
 /// Streams the `u`-side (edges after the current one while their first
 /// node is still `u`) against the `v` region, counting matching second
-/// nodes. Both sides refill their WRAM buffers from MRAM on demand.
+/// nodes. Each side is billed as a WRAM buffer of `buf` keys refilled
+/// from MRAM on demand.
 #[allow(clippy::too_many_arguments)]
 fn merge_intersect(
     t: &mut Tasklet<'_>,
@@ -472,8 +505,7 @@ fn merge_intersect(
     sample_len: u64,
     v_start: u64,
     v_end: u64,
-    buf_u: &mut [u64],
-    buf_v: &mut [u64],
+    buf: u64,
 ) -> SimResult<u64> {
     merge_intersect_cb(
         t,
@@ -483,8 +515,7 @@ fn merge_intersect(
         sample_len,
         v_start,
         v_end,
-        buf_u,
-        buf_v,
+        buf,
         &mut |_t, _w| Ok(()),
     )
 }
@@ -501,69 +532,72 @@ pub(crate) fn merge_intersect_cb<F>(
     sample_len: u64,
     v_start: u64,
     v_end: u64,
-    buf_u: &mut [u64],
-    buf_v: &mut [u64],
+    buf: u64,
     on_match: &mut F,
 ) -> SimResult<u64>
 where
     F: FnMut(&mut Tasklet<'_>, u32) -> SimResult<()>,
 {
-    let mut count = 0u64;
-    let (mut next_u, mut pos_u, mut len_u) = (u_from, 0usize, 0usize);
-    let (mut next_v, mut pos_v, mut len_v) = (v_start, 0usize, 0usize);
-    let mut u_done = false;
-    loop {
-        if !u_done && pos_u == len_u {
-            if next_u >= sample_len {
-                u_done = true;
-            } else {
-                let n = (buf_u.len() as u64).min(sample_len - next_u) as usize;
-                t.mram_read(layout.sample_slot(next_u), &mut buf_u[..n])?;
-                next_u += n as u64;
-                pos_u = 0;
-                len_u = n;
-            }
+    let mut sample = t.mram_view::<u64>(layout.sample_off, sample_len)?;
+    let (mut count, mut steps) = (0u64, 0u64);
+    // Each side's next slot and the end of what its buffer holds; a side
+    // refills when its cursor reaches that end. The u side refills before
+    // the v side is checked for exhaustion, as the buffered loop does.
+    let (mut iu, mut u_held) = (u_from, u_from);
+    let (mut iv, mut v_held) = (v_start, v_start);
+    'merge: loop {
+        if iu == u_held && iu < sample_len {
+            u_held = (iu + buf).min(sample_len);
         }
-        if pos_v == len_v {
-            if next_v >= v_end {
+        if iv == v_held {
+            if iv >= v_end {
                 break; // v side exhausted
             }
-            let n = (buf_v.len() as u64).min(v_end - next_v) as usize;
-            t.mram_read(layout.sample_slot(next_v), &mut buf_v[..n])?;
-            next_v += n as u64;
-            pos_v = 0;
-            len_v = n;
+            v_held = (iv + buf).min(v_end);
         }
-        if u_done || pos_u >= len_u {
-            break;
+        if iu == u_held {
+            break; // u side ran off the sample
         }
-        let ku = buf_u[pos_u];
-        t.charge(MERGE_INSTR_PER_CMP);
-        if key_first(ku) != u {
-            break; // left u's region
-        }
-        let w = key_second(ku);
-        let z = key_second(buf_v[pos_v]);
-        match w.cmp(&z) {
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                on_match(t, w)?;
-                pos_u += 1;
-                pos_v += 1;
+        // Both sides hold keys here. Each step also loads both successors,
+        // so the next comparison waits on a select instead of a load.
+        let (mut ku, mut kv) = (sample.get(iu), sample.get(iv));
+        loop {
+            let next_u = sample.get((iu + 1).min(u_held - 1));
+            let next_v = sample.get((iv + 1).min(v_held - 1));
+            steps += 1;
+            if key_first(ku) != u {
+                break 'merge; // left u's region
             }
-            std::cmp::Ordering::Less => pos_u += 1,
-            std::cmp::Ordering::Greater => pos_v += 1,
+            let (w, z) = (key_second(ku), key_second(kv));
+            // Advance the smaller side, or both on a match.
+            let (adv_u, adv_v) = (w <= z, w >= z);
+            iu += adv_u as u64;
+            iv += adv_v as u64;
+            if w == z {
+                count += 1;
+                // `on_match` may write MRAM: the view is released around it.
+                on_match(t, w)?;
+                sample = t.mram_view::<u64>(layout.sample_off, sample_len)?;
+            }
+            if iu == u_held || iv == v_held {
+                break;
+            }
+            ku = if adv_u { next_u } else { ku };
+            kv = if adv_v { next_v } else { kv };
         }
     }
+    t.charge(steps * MERGE_INSTR_PER_CMP);
+    charge_stream(t, buf, u_held - u_from);
+    charge_stream(t, buf, v_held - v_start);
     Ok(count)
 }
 
 /// Galloping intersection of two sorted sample ranges, comparing second
 /// endpoints (each range's first endpoint is constant by construction).
-/// The short side streams through `buf_short`; for every short key the
-/// long side is probed in MRAM with an exponential + binary search from
-/// the last match position. A hit consumes exactly one long-side slot
-/// (`long_lo = hit + 1`), which replicates the streaming merge's
+/// The short side streams through a buffer of `buf` keys; for every short
+/// key the long side is probed in MRAM with an exponential + binary search
+/// from the last match position. A hit consumes exactly one long-side
+/// slot (`long_lo = hit + 1`), which replicates the streaming merge's
 /// min-multiplicity handling of duplicate edges element by element.
 fn gallop_intersect(
     t: &mut Tasklet<'_>,
@@ -572,52 +606,54 @@ fn gallop_intersect(
     short_end: u64,
     long_start: u64,
     long_end: u64,
-    buf_short: &mut [u64],
+    buf: u64,
 ) -> SimResult<u64> {
-    let mut count = 0u64;
+    let sample = t.mram_view::<u64>(layout.sample_off, short_end.max(long_end))?;
+    let (mut count, mut keys, mut probes) = (0u64, 0u64, 0u64);
     let mut long_lo = long_start;
-    let mut next = short_start;
-    'outer: while next < short_end {
-        let n = (buf_short.len() as u64).min(short_end - next) as usize;
-        t.mram_read(layout.sample_slot(next), &mut buf_short[..n])?;
-        next += n as u64;
-        for &ks in &buf_short[..n] {
-            if long_lo >= long_end {
-                break 'outer;
-            }
-            let w = key_second(ks);
-            t.charge(GALLOP_INSTR_PER_KEY);
-            let lo = gallop_lower_bound(t, layout, w, long_lo, long_end)?;
-            if lo >= long_end {
-                break 'outer;
-            }
-            let entry: u64 = t.mram_read_one(layout.sample_slot(lo))?;
-            t.charge(PROBE_INSTR);
-            if key_second(entry) == w {
-                count += 1;
-                long_lo = lo + 1;
-            } else {
-                long_lo = lo;
-            }
+    // End of the short side's buffered keys.
+    let mut held = short_start;
+    for s in short_start..short_end {
+        if s == held {
+            held = (s + buf).min(short_end);
+        }
+        if long_lo >= long_end {
+            break;
+        }
+        keys += 1;
+        let w = key_second(sample.get(s));
+        let lo = gallop_lower_bound(&sample, w, long_lo, long_end, &mut probes);
+        if lo >= long_end {
+            break;
+        }
+        probes += 1;
+        if key_second(sample.get(lo)) == w {
+            count += 1;
+            long_lo = lo + 1;
+        } else {
+            long_lo = lo;
         }
     }
+    t.charge(keys * GALLOP_INSTR_PER_KEY);
+    charge_probes(t, probes);
+    charge_stream(t, buf, held - short_start);
     Ok(count)
 }
 
 /// First slot in `[lo, end)` whose second endpoint is ≥ `w`, by
 /// exponential probing from `lo` (runs of nearby matches cost O(1)
 /// probes each) followed by a binary search of the overshoot window.
+/// Adds the MRAM probes it makes to `probes`.
 fn gallop_lower_bound(
-    t: &mut Tasklet<'_>,
-    layout: &MramLayout,
+    sample: &MramView<'_, u64>,
     w: u32,
     lo: u64,
     end: u64,
-) -> SimResult<u64> {
-    let first: u64 = t.mram_read_one(layout.sample_slot(lo))?;
-    t.charge(PROBE_INSTR);
-    if key_second(first) >= w {
-        return Ok(lo);
+    probes: &mut u64,
+) -> u64 {
+    *probes += 1;
+    if key_second(sample.get(lo)) >= w {
+        return lo;
     }
     // Invariant: slot `lo + off` holds a second endpoint < `w`.
     let mut off = 0u64;
@@ -627,9 +663,8 @@ fn gallop_lower_bound(
         if idx >= end {
             break;
         }
-        let entry: u64 = t.mram_read_one(layout.sample_slot(idx))?;
-        t.charge(PROBE_INSTR);
-        if key_second(entry) >= w {
+        *probes += 1;
+        if key_second(sample.get(idx)) >= w {
             break;
         }
         off += step;
@@ -639,23 +674,23 @@ fn gallop_lower_bound(
     let mut h = (lo + off + step).min(end);
     while l < h {
         let mid = (l + h) / 2;
-        let entry: u64 = t.mram_read_one(layout.sample_slot(mid))?;
-        t.charge(PROBE_INSTR);
-        if key_second(entry) < w {
+        *probes += 1;
+        if key_second(sample.get(mid)) < w {
             l = mid + 1;
         } else {
             h = mid;
         }
     }
-    Ok(l)
+    l
 }
 
 /// Bitmap intersection: marks the `v` region's second endpoints in the
 /// tasklet's WRAM bit array, then tests each distinct `w` run of the
-/// `u` side in O(1). Returns `None` (after restoring the bitmap to
-/// zero) when the strategy doesn't apply — the `z` span exceeds the bit
-/// array, or the `v` region holds duplicate edges, whose
-/// min-multiplicity semantics only the merge/gallop paths express.
+/// `u` side in O(1). Both sides are billed as streams through buffers of
+/// `buf` keys. Returns `None` (after restoring the bitmap to zero) when
+/// the strategy doesn't apply — the `z` span exceeds the bit array, or
+/// the `v` region holds duplicate edges, whose min-multiplicity semantics
+/// only the merge/gallop paths express.
 #[allow(clippy::too_many_arguments)]
 fn bitmap_intersect(
     t: &mut Tasklet<'_>,
@@ -664,70 +699,59 @@ fn bitmap_intersect(
     u_end: u64,
     v_start: u64,
     v_end: u64,
-    buf_u: &mut [u64],
-    buf_v: &mut [u64],
+    buf: u64,
     bitmap: &mut [u64],
 ) -> SimResult<Option<u64>> {
+    let sample = t.mram_view::<u64>(layout.sample_off, u_end.max(v_end))?;
     let bitmap_bits = bitmap.len() as u64 * 64;
     // Range probes: the span of `z` values the bit array must cover.
-    let z_lo_key: u64 = t.mram_read_one(layout.sample_slot(v_start))?;
-    t.charge(PROBE_INSTR);
-    let z_hi_key: u64 = t.mram_read_one(layout.sample_slot(v_end - 1))?;
-    t.charge(PROBE_INSTR);
-    let z_lo = key_second(z_lo_key) as u64;
-    let range = key_second(z_hi_key) as u64 - z_lo + 1;
+    let z_lo = key_second(sample.get(v_start)) as u64;
+    let range = key_second(sample.get(v_end - 1)) as u64 - z_lo + 1;
     if range > bitmap_bits {
+        charge_probes(t, 2);
         return Ok(None);
     }
     let words = range.div_ceil(64) as usize;
     // Mark phase: one bit per distinct z; a duplicate aborts to merge.
+    let mut marked = 0u64;
     let mut distinct = true;
-    let mut next = v_start;
-    'mark: while next < v_end {
-        let n = (buf_v.len() as u64).min(v_end - next) as usize;
-        t.mram_read(layout.sample_slot(next), &mut buf_v[..n])?;
-        next += n as u64;
-        for &kv in &buf_v[..n] {
-            let bit = key_second(kv) as u64 - z_lo;
-            t.charge(BITMAP_INSTR_PER_KEY);
-            let (word, mask) = (bit as usize / 64, 1u64 << (bit % 64));
-            if bitmap[word] & mask != 0 {
-                distinct = false;
-                break 'mark;
-            }
-            bitmap[word] |= mask;
+    for p in v_start..v_end {
+        let bit = key_second(sample.get(p)) as u64 - z_lo;
+        marked += 1;
+        let (word, mask) = (bit as usize / 64, 1u64 << (bit % 64));
+        if bitmap[word] & mask != 0 {
+            distinct = false;
+            break;
         }
+        bitmap[word] |= mask;
     }
     let mut count = 0u64;
+    let mut tested = 0u64;
     if distinct {
         // Test phase: each distinct `w` run contributes min(mu, 1) = 1
-        // when its bit is set; run tracking survives buffer refills.
+        // when its bit is set.
         let mut last_w: Option<u32> = None;
-        let mut next = u_from;
-        while next < u_end {
-            let n = (buf_u.len() as u64).min(u_end - next) as usize;
-            t.mram_read(layout.sample_slot(next), &mut buf_u[..n])?;
-            next += n as u64;
-            for &ku in &buf_u[..n] {
-                let w = key_second(ku);
-                t.charge(BITMAP_INSTR_PER_KEY);
-                if last_w == Some(w) {
-                    continue;
-                }
-                last_w = Some(w);
-                let off = (w as u64).wrapping_sub(z_lo);
-                if off < range && bitmap[off as usize / 64] & (1u64 << (off % 64)) != 0 {
-                    count += 1;
-                }
+        for p in u_from..u_end {
+            let w = key_second(sample.get(p));
+            if last_w == Some(w) {
+                continue;
+            }
+            last_w = Some(w);
+            let off = (w as u64).wrapping_sub(z_lo);
+            if off < range && bitmap[off as usize / 64] & (1u64 << (off % 64)) != 0 {
+                count += 1;
             }
         }
+        tested = u_end - u_from;
     }
     // Restore the touched words to zero for the next pair.
-    t.charge(words as u64 * BITMAP_INSTR_PER_CLEAR_WORD);
-    for word in &mut bitmap[..words] {
-        *word = 0;
-    }
-    Ok(if distinct { Some(count) } else { None })
+    bitmap[..words].fill(0);
+    charge_probes(t, 2);
+    t.charge((marked + tested) * BITMAP_INSTR_PER_KEY + words as u64 * BITMAP_INSTR_PER_CLEAR_WORD);
+    // The v stream stopped with the buffer holding its last marked key.
+    charge_stream(t, buf, (marked.div_ceil(buf) * buf).min(v_end - v_start));
+    charge_stream(t, buf, tested);
+    Ok(distinct.then_some(count))
 }
 
 #[cfg(test)]
@@ -931,6 +955,76 @@ mod tests {
             ..PimConfig::tiny()
         };
         assert_eq!(count_on_dpu(&g, one), count_on_dpu(&g, many));
+    }
+
+    #[test]
+    fn header_lengths_past_the_written_bank_fail_with_bad_address() {
+        let mut keys: Vec<u64> = pim_graph::gen::simple::complete(6)
+            .edges()
+            .iter()
+            .map(|e| edge_key(e.u.min(e.v), e.u.max(e.v)))
+            .collect();
+        keys.sort_unstable();
+        let n = keys.len() as u64;
+        // (sample len, index len, build the index first)
+        let cases = [
+            (n + 40, 0, false), // sample window past the written bank
+            (n, 64, true),      // index window past the written index
+            (u64::MAX, 1, true),
+            (n, u64::MAX, true),
+        ];
+        for (len, index_len, build_index) in cases {
+            let config = PimConfig::tiny();
+            let mut sys = PimSystem::allocate(1, config, CostModel::default()).unwrap();
+            let layout = MramLayout::compute(config.mram_capacity, 8, 0, Some(100)).unwrap();
+            let hdr = Header {
+                cap: layout.capacity,
+                len: n,
+                ..Header::default()
+            };
+            sys.push(vec![
+                HostWrite {
+                    dpu: 0,
+                    offset: 0,
+                    data: hdr.encode(),
+                },
+                HostWrite {
+                    dpu: 0,
+                    offset: layout.sample_off,
+                    data: encode_slice(&keys),
+                },
+            ])
+            .unwrap();
+            if build_index {
+                sys.execute(|ctx| index_kernel(ctx, &layout)).unwrap();
+            }
+            let bad = Header {
+                len,
+                index_len,
+                ..hdr
+            };
+            sys.push(vec![HostWrite {
+                dpu: 0,
+                offset: 0,
+                data: bad.encode(),
+            }])
+            .unwrap();
+            for strategy in ALL_STRATEGIES {
+                let err = sys
+                    .execute(|ctx| {
+                        count_kernel_opts(ctx, &layout, RegionLookup::BinarySearch, strategy)
+                    })
+                    .unwrap_err();
+                assert!(
+                    matches!(err, pim_sim::SimError::BadAddress { dpu: 0, .. }),
+                    "len {len}, index_len {index_len}, {strategy}: {err}"
+                );
+            }
+            let err = sys
+                .execute(|ctx| crate::kernel::local::local_count_kernel(ctx, &layout))
+                .unwrap_err();
+            assert!(matches!(err, pim_sim::SimError::BadAddress { dpu: 0, .. }));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! Not compatible with Misra-Gries remapping: remapped ids fall outside
 //! the local region's index space (the config layer rejects the combo).
 
-use super::count::{lookup_region, merge_intersect_cb};
+use super::count::{check_resident, lookup_region, merge_intersect_cb};
 use super::layout::{Header, MramLayout};
 use super::{key_first, key_second};
 use pim_sim::{DpuContext, SimResult, Tasklet};
@@ -24,18 +24,18 @@ use pim_sim::{DpuContext, SimResult, Tasklet};
 /// Instructions per cache probe (hash, compare, branch).
 const CACHE_INSTR: u64 = 4;
 /// Instructions per edge of fixed overhead (same as the global kernel).
-const EDGE_INSTR: u64 = 6;
+pub(super) const EDGE_INSTR: u64 = 6;
 
 /// A direct-mapped (node → pending count) cache living in a tasklet's
 /// WRAM budget. `slots` must be a power of two.
-struct LocalCache {
+pub(super) struct LocalCache {
     /// Packed entries: `node << 32 | pending`, or `u64::MAX` when empty.
     entries: Vec<u64>,
     mask: usize,
 }
 
 impl LocalCache {
-    fn new(t: &mut Tasklet<'_>, slots: usize) -> SimResult<LocalCache> {
+    pub(super) fn new(t: &mut Tasklet<'_>, slots: usize) -> SimResult<LocalCache> {
         debug_assert!(slots.is_power_of_two());
         let mut entries = t.alloc_wram::<u64>(slots)?;
         entries.iter_mut().for_each(|e| *e = u64::MAX);
@@ -46,7 +46,12 @@ impl LocalCache {
     }
 
     /// Adds 1 to `node`, evicting a colliding entry to MRAM if needed.
-    fn bump(&mut self, t: &mut Tasklet<'_>, layout: &MramLayout, node: u32) -> SimResult<()> {
+    pub(super) fn bump(
+        &mut self,
+        t: &mut Tasklet<'_>,
+        layout: &MramLayout,
+        node: u32,
+    ) -> SimResult<()> {
         t.charge(CACHE_INSTR);
         let slot = (node as usize).wrapping_mul(0x9E37_79B9) & self.mask;
         let entry = self.entries[slot];
@@ -62,7 +67,7 @@ impl LocalCache {
     }
 
     /// Writes every pending count back to the MRAM region.
-    fn flush_all(&mut self, t: &mut Tasklet<'_>, layout: &MramLayout) -> SimResult<()> {
+    pub(super) fn flush_all(&mut self, t: &mut Tasklet<'_>, layout: &MramLayout) -> SimResult<()> {
         for slot in 0..self.entries.len() {
             let entry = self.entries[slot];
             if entry != u64::MAX {
@@ -120,7 +125,9 @@ pub fn local_clear_kernel(ctx: &mut DpuContext<'_>, layout: &MramLayout) -> SimR
 pub fn local_count_kernel(ctx: &mut DpuContext<'_>, layout: &MramLayout) -> SimResult<u64> {
     let hdr = {
         let mut t0 = ctx.tasklet(0)?;
-        Header::read(&mut t0)?
+        let hdr = Header::read(&mut t0)?;
+        check_resident(&t0, layout, &hdr)?;
+        hdr
     };
     let len = hdr.len;
     let index_len = hdr.index_len;
@@ -137,14 +144,15 @@ pub fn local_count_kernel(ctx: &mut DpuContext<'_>, layout: &MramLayout) -> SimR
             let mut cache = LocalCache::new(t, cache_slots)?;
             let b = ((t.wram_free() / 8) / 3).max(4);
             let mut buf_e = t.alloc_wram::<u64>(b)?;
-            let mut buf_u = t.alloc_wram::<u64>(b)?;
-            let mut buf_v = t.alloc_wram::<u64>(b)?;
+            // The u- and v-side stream buffers the merge's views stand for.
+            t.alloc_wram::<u64>(2 * b)?;
+            let b = b as u64;
             let mut count = 0u64;
             let mut block = t.id() as u64;
-            let blocks = len.div_ceil(b as u64);
+            let blocks = len.div_ceil(b);
             while block < blocks {
-                let start = block * b as u64;
-                let n = (b as u64).min(len - start) as usize;
+                let start = block * b;
+                let n = b.min(len - start) as usize;
                 t.mram_read(layout.sample_slot(start), &mut buf_e[..n])?;
                 for (i, &key) in buf_e.iter().enumerate().take(n) {
                     let g = start + i as u64;
@@ -162,8 +170,7 @@ pub fn local_count_kernel(ctx: &mut DpuContext<'_>, layout: &MramLayout) -> SimR
                         len,
                         v_start,
                         v_end,
-                        &mut buf_u,
-                        &mut buf_v,
+                        b,
                         &mut |t, w| {
                             cache.bump(t, layout, u)?;
                             cache.bump(t, layout, v)?;

@@ -13,6 +13,8 @@
 //! 4. [`index`] — build the first-node region table (§3.4, Fig. 2),
 //! 5. [`count`] — the merge-based edge-iterator triangle count (§3.4).
 
+#[cfg(test)]
+mod buffered;
 pub mod checksum;
 pub mod count;
 pub mod index;

@@ -139,6 +139,21 @@ impl Dpu {
     pub fn lifetime_dma_bytes(&self) -> u64 {
         self.total_dma_bytes + self.kernel_dma_bytes
     }
+
+    /// Instructions each tasklet retired in the most recent kernel.
+    pub fn kernel_tasklet_instructions(&self) -> &[u64] {
+        &self.tasklet_instr
+    }
+
+    /// DMA cycles charged in the most recent kernel.
+    pub fn kernel_dma_cycles(&self) -> u64 {
+        self.dma_cycles
+    }
+
+    /// DMA bytes moved in the most recent kernel.
+    pub fn kernel_dma_bytes(&self) -> u64 {
+        self.kernel_dma_bytes
+    }
 }
 
 #[cfg(test)]

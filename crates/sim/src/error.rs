@@ -52,6 +52,15 @@ pub enum SimError {
         /// Number of allocated DPUs.
         allocated: usize,
     },
+    /// A kernel addressed a tasklet id outside the launched set.
+    NoSuchTasklet {
+        /// DPU the kernel runs on.
+        dpu: usize,
+        /// Offending tasklet id.
+        tasklet: usize,
+        /// Tasklets launched per DPU.
+        nr_tasklets: usize,
+    },
     /// System allocation was asked for more DPUs than the machine has.
     TooManyDpus {
         /// DPUs requested.
@@ -107,6 +116,10 @@ impl fmt::Display for SimError {
             SimError::NoSuchDpu { dpu, allocated } => {
                 write!(f, "DPU id {dpu} out of range (allocated {allocated})")
             }
+            SimError::NoSuchTasklet { dpu, tasklet, nr_tasklets } => write!(
+                f,
+                "DPU {dpu}: tasklet id {tasklet} out of range ({nr_tasklets} tasklets launched)"
+            ),
             SimError::TooManyDpus { requested, available } => {
                 write!(f, "requested {requested} DPUs, system has {available}")
             }

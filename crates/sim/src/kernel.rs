@@ -8,6 +8,13 @@
 //!   [`Tasklet::mram_read`] / [`Tasklet::mram_write`] DMA transfers, which
 //!   are 8-byte aligned, split into ≤ 2048-byte bursts, and charged
 //!   latency + per-byte cost.
+//! * **Reading without copying.** [`Tasklet::mram_view`] borrows a
+//!   window of the bank read-only and uncharged. A view stands for DMAs
+//!   into a WRAM buffer of the size the kernel reserved with
+//!   [`Tasklet::alloc_wram`]: the kernel counts the refills and probes
+//!   that buffer would have needed and bills them with
+//!   [`Tasklet::charge_dma_calls`], so the modeled machine does the same
+//!   work while the host skips the copy.
 //! * **WRAM is tiny.** Each tasklet claims buffers from its share of the
 //!   64 KB scratchpad via [`Tasklet::alloc_wram`]; exceeding the budget is
 //!   an error, exactly like overflowing the stack/heap of a real tasklet.
@@ -18,6 +25,8 @@
 //! for this API must therefore partition work so tasklets do not rely on
 //! concurrent interleaving — the same discipline correct UPMEM kernels
 //! need, since real tasklets interleave nondeterministically.
+
+use std::marker::PhantomData;
 
 use crate::config::PimConfig;
 use crate::dpu::Dpu;
@@ -107,9 +116,10 @@ impl<'a> DpuContext<'a> {
     /// e.g. "tasklet 0 builds the index").
     pub fn tasklet(&mut self, id: usize) -> SimResult<Tasklet<'_>> {
         if id >= self.config.nr_tasklets {
-            return Err(SimError::NoSuchDpu {
-                dpu: id,
-                allocated: self.config.nr_tasklets,
+            return Err(SimError::NoSuchTasklet {
+                dpu: self.dpu.id(),
+                tasklet: id,
+                nr_tasklets: self.config.nr_tasklets,
             });
         }
         Ok(Tasklet {
@@ -217,7 +227,7 @@ impl<'a> Tasklet<'a> {
         for (i, d) in dst.iter_mut().enumerate() {
             *d = T::read_le(&src[i * T::BYTES..]);
         }
-        self.charge_dma(len);
+        self.charge_dma_calls(len, 1);
         Ok(())
     }
 
@@ -229,7 +239,7 @@ impl<'a> Tasklet<'a> {
         for (i, s) in src.iter().enumerate() {
             s.write_le(&mut dst[i * T::BYTES..]);
         }
-        self.charge_dma(len);
+        self.charge_dma_calls(len, 1);
         Ok(())
     }
 
@@ -247,20 +257,37 @@ impl<'a> Tasklet<'a> {
         self.mram_write(offset, &[value])
     }
 
-    #[inline]
-    fn check_dma(&self, offset: u64, len: u64) -> SimResult<()> {
-        if !offset.is_multiple_of(8) {
-            return Err(SimError::BadDma {
+    /// Borrows MRAM `[offset, offset + elems·T::BYTES)` read-only, without
+    /// copying and without charging anything. Alignment and bounds are
+    /// checked once here, as [`Tasklet::mram_read`] would check them
+    /// (`BadDma` for an unaligned offset, `BadAddress` for a window past
+    /// the written bank or one whose end overflows); a zero-length view is
+    /// always valid.
+    ///
+    /// The caller bills the DMA its reads stand for with
+    /// [`Tasklet::charge_dma_calls`] (see the module docs). The view
+    /// borrows the tasklet, so drop it before anything that writes MRAM.
+    pub fn mram_view<T: Pod>(&self, offset: u64, elems: u64) -> SimResult<MramView<'_, T>> {
+        let len = elems
+            .checked_mul(T::BYTES as u64)
+            .ok_or(SimError::BadAddress {
                 dpu: self.dpu.id(),
-                len,
-                rule: "MRAM DMA offset must be 8-byte aligned",
-            });
-        }
-        Ok(())
+                offset,
+                len: u64::MAX,
+            })?;
+        self.check_dma(offset, len)?;
+        Ok(MramView {
+            bytes: self.dpu.mram_slice(offset, len)?,
+            elem: PhantomData,
+        })
     }
 
-    #[inline]
-    fn charge_dma(&mut self, bytes: u64) {
+    /// Charges exactly what `calls` separate [`Tasklet::mram_read`]s of
+    /// `bytes` each would charge, in both DMA cycles and DMA bytes.
+    pub fn charge_dma_calls(&mut self, bytes: u64, calls: u64) {
+        if calls == 0 {
+            return;
+        }
         // Round each burst to the 8-byte transfer granularity and charge
         // per ≤2048-byte burst.
         let mut remaining = bytes.div_ceil(8) * 8;
@@ -274,8 +301,38 @@ impl<'a> Tasklet<'a> {
             }
             remaining -= burst;
         }
-        self.dpu.dma_cycles += cycles;
-        self.dpu.kernel_dma_bytes += moved;
+        self.dpu.dma_cycles += cycles * calls;
+        self.dpu.kernel_dma_bytes += moved * calls;
+    }
+
+    #[inline]
+    fn check_dma(&self, offset: u64, len: u64) -> SimResult<()> {
+        if !offset.is_multiple_of(8) {
+            return Err(SimError::BadDma {
+                dpu: self.dpu.id(),
+                len,
+                rule: "MRAM DMA offset must be 8-byte aligned",
+            });
+        }
+        Ok(())
+    }
+}
+
+/// A read-only, uncharged window of `T` elements over a DPU's MRAM bank,
+/// taken with [`Tasklet::mram_view`]. Elements decode through
+/// [`Pod::read_le`], so the bank format is the one DMA transfers use.
+pub struct MramView<'a, T: Pod> {
+    bytes: &'a [u8],
+    elem: PhantomData<T>,
+}
+
+impl<T: Pod> MramView<'_, T> {
+    /// Element `i` of the window. Panics if `i` is past the window, like
+    /// slice indexing.
+    #[inline]
+    pub fn get(&self, i: u64) -> T {
+        let at = i as usize * T::BYTES;
+        T::read_le(&self.bytes[at..at + T::BYTES])
     }
 }
 
@@ -393,7 +450,100 @@ mod tests {
             config: &config,
             cost: &COST,
         };
-        assert!(ctx.tasklet(99).is_err());
+        assert!(matches!(
+            ctx.tasklet(99),
+            Err(SimError::NoSuchTasklet {
+                dpu: 0,
+                tasklet: 99,
+                nr_tasklets: 4
+            })
+        ));
+    }
+
+    #[test]
+    fn view_reads_what_dma_wrote_and_charges_nothing() {
+        let config = PimConfig::tiny();
+        let mut dpu = ctx_fixture(&config);
+        let mut ctx = DpuContext {
+            dpu: &mut dpu,
+            config: &config,
+            cost: &COST,
+        };
+        let mut t = ctx.tasklet(0).unwrap();
+        t.mram_write(8, &[7u64, 8, 9]).unwrap();
+        let view = t.mram_view::<u64>(16, 2).unwrap();
+        assert_eq!((view.get(0), view.get(1)), (8, 9));
+        let words = t.mram_view::<u32>(8, 2).unwrap();
+        assert_eq!((words.get(0), words.get(1)), (7, 0));
+        // Only the write was charged.
+        assert_eq!(dpu.kernel_dma_bytes(), 24);
+    }
+
+    #[test]
+    fn bad_views_are_rejected_and_empty_ones_allowed() {
+        let config = PimConfig::tiny();
+        let mut dpu = ctx_fixture(&config);
+        let mut ctx = DpuContext {
+            dpu: &mut dpu,
+            config: &config,
+            cost: &COST,
+        };
+        let mut t = ctx.tasklet(0).unwrap();
+        t.mram_write(0, &[1u64; 4]).unwrap();
+        assert!(matches!(
+            t.mram_view::<u64>(4, 1),
+            Err(SimError::BadDma { .. })
+        ));
+        // Past the 32 written bytes.
+        assert!(matches!(
+            t.mram_view::<u64>(24, 2),
+            Err(SimError::BadAddress {
+                offset: 24,
+                len: 16,
+                ..
+            })
+        ));
+        // `elems · 8` and `offset + len` overflow.
+        assert!(matches!(
+            t.mram_view::<u64>(0, u64::MAX / 4),
+            Err(SimError::BadAddress { .. })
+        ));
+        assert!(matches!(
+            t.mram_view::<u64>(u64::MAX - 7, 2),
+            Err(SimError::BadAddress { .. })
+        ));
+        for offset in [0, 32, 1 << 40] {
+            assert!(t.mram_view::<u64>(offset, 0).is_ok());
+        }
+    }
+
+    #[test]
+    fn batched_dma_charges_equal_separate_reads() {
+        let config = PimConfig::default();
+        let (mut separate, mut batched) = (ctx_fixture(&config), ctx_fixture(&config));
+        for (dpu, batch) in [(&mut separate, false), (&mut batched, true)] {
+            let mut ctx = DpuContext {
+                dpu,
+                config: &config,
+                cost: &COST,
+            };
+            let mut t = ctx.tasklet(0).unwrap();
+            t.mram_write(0, &vec![0u64; 1024]).unwrap();
+            // 13-byte reads round to 16; 3000-byte reads split into bursts.
+            for (bytes, calls) in [(8u64, 5u64), (13, 3), (3000, 2), (64, 0)] {
+                if batch {
+                    t.charge_dma_calls(bytes, calls);
+                } else {
+                    let mut buf = vec![0u8; bytes as usize];
+                    for _ in 0..calls {
+                        t.mram_read(0, &mut buf).unwrap();
+                    }
+                }
+            }
+        }
+        assert_eq!(separate.kernel_dma_cycles(), batched.kernel_dma_cycles());
+        assert_eq!(separate.kernel_dma_bytes(), batched.kernel_dma_bytes());
+        assert!(batched.kernel_dma_cycles() > 0);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use dpu::Dpu;
 pub use energy::{EnergyModel, EnergyReport};
 pub use error::{SimError, SimResult};
 pub use fault::{DpuKill, FaultCounters, FaultPlan, RankFlaky, RankKill, RANK_AT_COUNT};
-pub use kernel::{DpuContext, Tasklet};
+pub use kernel::{DpuContext, MramView, Tasklet};
 pub use phase::{Phase, PhaseTimes};
 pub use stats::{
     DpuActivity, LaunchProfile, PhaseKernelCycles, SystemReport, CYCLE_HISTOGRAM_BUCKETS,
