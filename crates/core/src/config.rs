@@ -6,18 +6,20 @@ use crate::triplets::nr_triplets;
 use pim_sim::{CostModel, PimConfig};
 use serde::{Deserialize, Serialize};
 
-/// Which execution engine runs the pipeline (see `pim_sim::backend`).
+/// Which clock the simulator engine runs the pipeline under (see
+/// `pim_sim::backend`).
 ///
-/// `Timed` is the full cycle-accounting simulator; `Functional` executes
-/// the same kernels over the same banks but reports zero time, trace, and
-/// energy — much faster, for correctness testing and exact baselines.
-/// Both produce bit-identical counts and per-DPU samples.
+/// Both choices run the same engine code: the same kernels over the same
+/// banks, the same faults and the same cycle, DMA and byte counters.
+/// `Timed` converts them into modeled seconds and joules; `Functional`
+/// reports zero time and energy and records no trace, at the same host
+/// cost. Both produce bit-identical counts and per-DPU samples.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecBackend {
     /// Cycle-, DMA-, and energy-accounted simulation (`TimedBackend`).
     #[default]
     Timed,
-    /// Functional-only execution (`FunctionalBackend`): no clocks.
+    /// The same engine with the clock compiled out (`FunctionalBackend`).
     Functional,
 }
 

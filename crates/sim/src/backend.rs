@@ -1,4 +1,4 @@
-//! The execution-backend seam: one host-side API, two engines.
+//! The execution-backend seam: one host-side API, one engine, two clocks.
 //!
 //! The PrIM line of work (Gómez-Luna et al., IEEE Access 2022) separates
 //! the *functional* behaviour of UPMEM hardware from its *timing
@@ -6,47 +6,48 @@
 //! simulator. [`PimBackend`] abstracts everything an orchestrator does to
 //! the PIM machine — allocation, rank-parallel `push`/`gather` transfers,
 //! labeled SPMD kernel launches, phase accounting, and trace/report
-//! access — and two engines implement it:
+//! access. The simulator's one engine, [`crate::system::Engine`],
+//! implements it with the clock chosen at compile time:
 //!
-//! * [`TimedBackend`] (an alias for [`PimSystem`]): full cycle, DMA,
-//!   transfer-bandwidth, and energy accounting against the
+//! * [`TimedBackend`] (= [`PimSystem`] = `Engine<true>`) converts every
+//!   operation into modeled seconds and joules against the
 //!   PrIM-calibrated [`CostModel`]. Use it whenever modeled time matters.
-//! * [`FunctionalBackend`]: executes the *same* kernel closures over the
-//!   same MRAM banks (still via rayon across DPUs), but skips all timing,
-//!   trace, and energy bookkeeping. Phase times, transfer seconds, trace
-//!   events, and energy all report zero. Use it for correctness tests,
-//!   proptests, and exact-count baselines where only functional behaviour
-//!   matters.
+//! * [`FunctionalBackend`] (= `Engine<false>`) runs the same code: the
+//!   same kernel closures over the same MRAM banks, the same fault
+//!   decisions, and the same cycle, instruction, DMA and byte counters
+//!   and metric events. Only the seconds differ: phase times, transfer
+//!   seconds and energy read zero, and tracing is a no-op. It is no
+//!   cheaper to run, since simulating the kernels is the cost; use it
+//!   where a run's clock must not matter.
 //!
-//! Both backends are bit-identical on *data*: MRAM contents, kernel
-//! results, and gathered bytes never differ (the equivalence proptests in
-//! `pim-tc` pin this). Only the clocks differ.
+//! Both are bit-identical on *data*: MRAM contents, kernel results, and
+//! gathered bytes never differ (the equivalence proptests in `pim-tc` pin
+//! this).
 
 use crate::config::PimConfig;
 use crate::cost::{CostModel, SimSeconds};
 use crate::dpu::Dpu;
 use crate::energy::EnergyReport;
-use crate::error::{SimError, SimResult};
-use crate::fault::{FaultCounters, FaultDecision, FaultState, OpKind};
+use crate::error::SimResult;
+use crate::fault::FaultCounters;
 use crate::kernel::{DpuContext, Pod};
 use crate::phase::{Phase, PhaseTimes};
-use crate::system::{HostWrite, PimSystem, CORRUPT_MASK};
+use crate::system::{Engine, HostWrite, PimSystem};
 use crate::trace::Trace;
-use pim_metrics::{LaunchObs, MetricsHub};
-use rayon::prelude::*;
+use pim_metrics::MetricsHub;
 use std::sync::Arc;
 
 /// Host-side driver interface for a set of allocated PIM cores.
 ///
 /// Orchestrators (e.g. `pim-tc`'s `TcSession`) are written against this
-/// trait so the same pipeline runs on the timed simulator or the
-/// functional engine. Kernel launches are generic over the closure and
-/// its result type, so the trait is used through generics (static
-/// dispatch), not trait objects.
+/// trait so the same pipeline runs on either clock or on a multi-rank
+/// cluster. Kernel launches are generic over the closure and its result
+/// type, so the trait is used through generics (static dispatch), not
+/// trait objects. Every method that touches faults or metrics has no
+/// default body, so a new backend must say how it handles them.
 pub trait PimBackend: Send {
     /// Allocates `nr_dpus` PIM cores under the given hardware shape and
-    /// cost model. Timed backends charge the setup cost; functional
-    /// backends only build the banks.
+    /// cost model, charging the setup cost (zero on the functional clock).
     fn allocate(nr_dpus: usize, config: PimConfig, cost: CostModel) -> SimResult<Self>
     where
         Self: Sized;
@@ -57,8 +58,8 @@ pub trait PimBackend: Send {
     /// Hardware configuration in effect.
     fn config(&self) -> &PimConfig;
 
-    /// Cost model in effect (functional backends hold one for kernel
-    /// bookkeeping interfaces but never convert it into seconds).
+    /// Cost model in effect (the functional clock uses it for cycle
+    /// counts but never converts them into seconds).
     fn cost(&self) -> &CostModel;
 
     /// Read-only access to a DPU (host-side inspection; tests and result
@@ -79,26 +80,26 @@ pub trait PimBackend: Send {
     /// Phase currently accruing time.
     fn phase(&self) -> Phase;
 
-    /// Modeled per-phase times so far (all-zero on functional backends).
+    /// Modeled per-phase times so far (all-zero on the functional clock).
     fn phase_times(&self) -> PhaseTimes;
 
-    /// Starts recording an event timeline. No-op on backends that do not
-    /// produce timing events.
+    /// Starts recording an event timeline. No-op on the functional clock,
+    /// which produces no timing events.
     fn enable_tracing(&mut self);
 
     /// Attaches a live metrics hub: transfers, launches, host spans, and
     /// faults are emitted as structured events and folded into the hub's
-    /// registry as they happen. Both backends emit the *same* event
-    /// sequence for the same workload — the functional backend reports all
+    /// registry as they happen. Both clocks emit the *same* event
+    /// sequence for the same workload — the functional clock reports all
     /// seconds as zero, but counts (bytes, cycles, instructions, faults)
-    /// are identical. The default implementation drops the hub.
-    fn attach_metrics(&mut self, _hub: Arc<MetricsHub>) {}
+    /// are identical.
+    fn attach_metrics(&mut self, hub: Arc<MetricsHub>);
 
-    /// The recorded timeline (always empty on functional backends).
+    /// The recorded timeline (always empty on the functional clock).
     fn trace(&self) -> &Trace;
 
     /// Folds measured host-side seconds into the current phase under a
-    /// span label. Functional backends drop the measurement.
+    /// span label. The functional clock drops the measurement.
     fn charge_host_seconds_labeled(&mut self, label: &str, seconds: SimSeconds);
 
     /// Unlabeled convenience over
@@ -127,9 +128,8 @@ pub trait PimBackend: Send {
     }
 
     /// Launches a labeled SPMD kernel on every allocated DPU, returning
-    /// each DPU's result in id order. Timed backends bill
-    /// `launch_overhead + max per-DPU cycles` to the current phase and
-    /// record a trace event; functional backends only run the closures.
+    /// each DPU's result in id order and billing `launch_overhead + max
+    /// per-DPU cycles` to the current phase.
     fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
     where
         R: Send,
@@ -148,45 +148,32 @@ pub trait PimBackend: Send {
 
     /// Like [`PimBackend::execute_labeled`], but tolerant of permanently
     /// dead DPUs (see [`crate::fault`]): their slots come back as `None`
-    /// instead of failing the launch. The default implementation assumes a
-    /// fault-free machine where every slot is `Some`.
+    /// instead of failing the launch.
     fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
     where
         R: Send,
         K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-        Self: Sized,
-    {
-        Ok(self
-            .execute_labeled(label, kernel)?
-            .into_iter()
-            .map(Some)
-            .collect())
-    }
+        Self: Sized;
 
-    /// Whether the fault plan has permanently killed `dpu`. Always false
-    /// without an active plan.
-    fn is_dpu_lost(&self, _dpu: usize) -> bool {
-        false
-    }
+    /// Whether the fault plan has permanently killed `dpu`.
+    fn is_dpu_lost(&self, dpu: usize) -> bool;
 
-    /// Counters of faults injected so far (all-zero without a plan).
-    fn fault_counters(&self) -> FaultCounters {
-        FaultCounters::default()
-    }
+    /// Counters of faults injected so far.
+    fn fault_counters(&self) -> FaultCounters;
 
     /// Sum of MRAM bytes in use across all DPUs.
     fn total_mram_used(&self) -> u64;
 
-    /// Total CPU↔PIM bytes moved so far (tracked on both backends — it is
+    /// Total CPU↔PIM bytes moved so far (tracked on both clocks — it is
     /// a data quantity, not a time).
     fn total_transfer_bytes(&self) -> u64;
 
-    /// Total modeled seconds spent on CPU↔PIM transfers (zero on
-    /// functional backends).
+    /// Total modeled seconds spent on CPU↔PIM transfers (zero on the
+    /// functional clock).
     fn total_transfer_seconds(&self) -> SimSeconds;
 
-    /// Energy totals for everything executed so far (all-zero on
-    /// functional backends).
+    /// Energy totals for everything executed so far (all-zero on the
+    /// functional clock).
     fn energy_report(&self) -> EnergyReport;
 
     /// Frees the PIM cores, returning the final phase times.
@@ -201,69 +188,74 @@ pub trait PimBackend: Send {
 /// on the [`PimBackend`] seam.
 pub type TimedBackend = PimSystem;
 
-impl PimBackend for PimSystem {
+/// The functional execution backend: the same engine with the clock
+/// compiled out — same banks, kernels, faults and counters, zero seconds,
+/// no trace, no energy.
+pub type FunctionalBackend = Engine<false>;
+
+impl<const TIMED: bool> PimBackend for Engine<TIMED> {
     fn allocate(nr_dpus: usize, config: PimConfig, cost: CostModel) -> SimResult<Self> {
-        PimSystem::allocate(nr_dpus, config, cost)
+        Engine::allocate(nr_dpus, config, cost)
     }
 
     fn nr_dpus(&self) -> usize {
-        PimSystem::nr_dpus(self)
+        Engine::nr_dpus(self)
     }
 
     fn config(&self) -> &PimConfig {
-        PimSystem::config(self)
+        Engine::config(self)
     }
 
     fn cost(&self) -> &CostModel {
-        PimSystem::cost(self)
+        Engine::cost(self)
     }
 
     fn dpu(&self, id: usize) -> SimResult<&Dpu> {
-        PimSystem::dpu(self, id)
+        Engine::dpu(self, id)
     }
 
     fn dpu_mut(&mut self, id: usize) -> SimResult<&mut Dpu> {
-        PimSystem::dpu_mut(self, id)
+        Engine::dpu_mut(self, id)
     }
 
     fn set_phase(&mut self, phase: Phase) {
-        PimSystem::set_phase(self, phase);
+        Engine::set_phase(self, phase);
     }
 
     fn phase(&self) -> Phase {
-        PimSystem::phase(self)
+        Engine::phase(self)
     }
 
     fn phase_times(&self) -> PhaseTimes {
-        PimSystem::phase_times(self)
+        Engine::phase_times(self)
     }
 
     fn enable_tracing(&mut self) {
-        PimSystem::enable_tracing(self);
+        Engine::enable_tracing(self);
     }
 
     fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
-        PimSystem::attach_metrics(self, hub);
+        Engine::attach_metrics(self, hub);
     }
 
     fn trace(&self) -> &Trace {
-        PimSystem::trace(self)
+        Engine::trace(self)
     }
 
     fn charge_host_seconds_labeled(&mut self, label: &str, seconds: SimSeconds) {
-        PimSystem::charge_host_seconds_labeled(self, label, seconds);
+        Engine::charge_host_seconds_labeled(self, label, seconds);
     }
 
     fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
-        PimSystem::push(self, writes)
+        Engine::push(self, writes)
     }
 
     fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
-        PimSystem::broadcast(self, offset, data)
+        Engine::broadcast(self, offset, data)
     }
 
     fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
-        PimSystem::gather(self, offset, len)
+        Engine::gather(self, offset, len)
     }
 
     fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
@@ -271,7 +263,7 @@ impl PimBackend for PimSystem {
         R: Send,
         K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
     {
-        PimSystem::execute_labeled(self, label, kernel)
+        Engine::execute_labeled(self, label, kernel)
     }
 
     fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
@@ -279,511 +271,42 @@ impl PimBackend for PimSystem {
         R: Send,
         K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
     {
-        PimSystem::execute_labeled_masked(self, label, kernel)
+        Engine::execute_labeled_masked(self, label, kernel)
     }
 
     fn is_dpu_lost(&self, dpu: usize) -> bool {
-        PimSystem::is_dpu_lost(self, dpu)
+        Engine::is_dpu_lost(self, dpu)
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        PimSystem::fault_counters(self)
+        Engine::fault_counters(self)
     }
 
     fn total_mram_used(&self) -> u64 {
-        PimSystem::total_mram_used(self)
+        Engine::total_mram_used(self)
     }
 
     fn total_transfer_bytes(&self) -> u64 {
-        PimSystem::total_transfer_bytes(self)
+        Engine::total_transfer_bytes(self)
     }
 
     fn total_transfer_seconds(&self) -> SimSeconds {
-        PimSystem::total_transfer_seconds(self)
+        Engine::total_transfer_seconds(self)
     }
 
     fn energy_report(&self) -> EnergyReport {
-        PimSystem::energy_report(self)
+        Engine::energy_report(self)
     }
 
     fn release(self) -> PhaseTimes {
-        PimSystem::release(self)
-    }
-}
-
-/// The functional execution backend: same banks, same kernels, no clocks.
-///
-/// Data movement and kernel execution are bit-identical to
-/// [`TimedBackend`]; every time-, trace-, and energy-producing path is a
-/// no-op. Per-DPU activity counters (instructions, DMA bytes) still
-/// accumulate — they are data-derived and cost nothing extra — so
-/// [`crate::SystemReport`] aggregates remain meaningful.
-pub struct FunctionalBackend {
-    config: PimConfig,
-    cost: CostModel,
-    dpus: Vec<Dpu>,
-    phase: Phase,
-    transfer_bytes: u64,
-    /// Always-empty, never-enabled timeline handed out by `trace()`.
-    trace: Trace,
-    fault: FaultState,
-    metrics: Option<Arc<MetricsHub>>,
-}
-
-impl FunctionalBackend {
-    /// Emits a fault event on the attached hub, if any.
-    fn record_fault(&self, kind: &'static str, op: u64, dpu: Option<usize>) {
-        if let Some(hub) = &self.metrics {
-            hub.fault(kind, self.phase.metric_name(), op, dpu.map(|d| d as u64));
-        }
-    }
-}
-
-impl FunctionalBackend {
-    /// Allocates `nr_dpus` functional PIM cores with the default hardware
-    /// shape.
-    pub fn allocate_default(nr_dpus: usize) -> SimResult<Self> {
-        <Self as PimBackend>::allocate(nr_dpus, PimConfig::default(), CostModel::default())
-    }
-}
-
-impl PimBackend for FunctionalBackend {
-    fn allocate(nr_dpus: usize, config: PimConfig, cost: CostModel) -> SimResult<Self> {
-        if nr_dpus > config.total_dpus {
-            return Err(SimError::TooManyDpus {
-                requested: nr_dpus,
-                available: config.total_dpus,
-            });
-        }
-        let dpus = (0..nr_dpus)
-            .map(|id| Dpu::new(id, config.mram_capacity, config.nr_tasklets))
-            .collect();
-        Ok(FunctionalBackend {
-            config,
-            cost,
-            dpus,
-            phase: Phase::Setup,
-            transfer_bytes: 0,
-            trace: Trace::default(),
-            fault: FaultState::new(config.fault, nr_dpus),
-            metrics: None,
-        })
-    }
-
-    fn nr_dpus(&self) -> usize {
-        self.dpus.len()
-    }
-
-    fn config(&self) -> &PimConfig {
-        &self.config
-    }
-
-    fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    fn dpu(&self, id: usize) -> SimResult<&Dpu> {
-        self.dpus.get(id).ok_or(SimError::NoSuchDpu {
-            dpu: id,
-            allocated: self.dpus.len(),
-        })
-    }
-
-    fn dpu_mut(&mut self, id: usize) -> SimResult<&mut Dpu> {
-        let allocated = self.dpus.len();
-        self.dpus
-            .get_mut(id)
-            .ok_or(SimError::NoSuchDpu { dpu: id, allocated })
-    }
-
-    fn set_phase(&mut self, phase: Phase) {
-        if self.phase != phase {
-            if let Some(hub) = &self.metrics {
-                hub.phase_change(phase.metric_name());
-            }
-        }
-        self.phase = phase;
-    }
-
-    fn phase(&self) -> Phase {
-        self.phase
-    }
-
-    fn phase_times(&self) -> PhaseTimes {
-        PhaseTimes::default()
-    }
-
-    fn enable_tracing(&mut self) {
-        // Functional runs produce no timing events; the timeline stays
-        // empty by design (see docs/OBSERVABILITY.md).
-    }
-
-    fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
-        // Functional allocation charges no modeled time.
-        hub.alloc(self.dpus.len() as u64, 0.0);
-        self.metrics = Some(hub);
-    }
-
-    fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    fn charge_host_seconds_labeled(&mut self, label: &str, _seconds: SimSeconds) {
-        // The measurement itself is dropped (no modeled clock), but the
-        // event is still emitted — with zero seconds — so retry counts and
-        // span sequences match the timed backend exactly.
-        if let Some(hub) = &self.metrics {
-            hub.host(label, self.phase.metric_name(), 0.0);
-        }
-    }
-
-    fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
-        for w in &writes {
-            if w.dpu >= self.dpus.len() {
-                return Err(SimError::NoSuchDpu {
-                    dpu: w.dpu,
-                    allocated: self.dpus.len(),
-                });
-            }
-            if self.fault.is_dead(w.dpu) {
-                return Err(SimError::DpuDead { dpu: w.dpu });
-            }
-        }
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "push",
-                        self.phase.metric_name(),
-                        writes.len() as u64,
-                        0,
-                        0.0,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
-        let mut bytes = 0u64;
-        for w in &writes {
-            self.dpus[w.dpu].host_write(w.offset, &w.data)?;
-            bytes += w.data.len() as u64;
-        }
-        self.transfer_bytes += bytes;
-        if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..writes.len())
-                .filter(|&i| !writes[i].data.is_empty())
-                .collect();
-            if !victims.is_empty() {
-                let w = &writes[victims[salt as usize % victims.len()]];
-                let byte = (salt >> 8) % w.data.len() as u64;
-                let flipped = w.data[byte as usize] ^ CORRUPT_MASK;
-                self.dpus[w.dpu].host_write(w.offset + byte, &[flipped])?;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(w.dpu));
-            }
-        }
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "push",
-                self.phase.metric_name(),
-                writes.len() as u64,
-                bytes,
-                0.0,
-                true,
-            );
-        }
-        Ok(())
-    }
-
-    fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "broadcast",
-                        self.phase.metric_name(),
-                        self.dpus.len() as u64,
-                        0,
-                        0.0,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
-        let mut live_count = 0u64;
-        for dpu in &mut self.dpus {
-            if !self.fault.is_dead(dpu.id()) {
-                dpu.host_write(offset, data)?;
-                live_count += 1;
-            }
-        }
-        let bytes = data.len() as u64 * live_count;
-        self.transfer_bytes += bytes;
-        if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..self.dpus.len())
-                .filter(|&d| !self.fault.is_dead(d))
-                .collect();
-            if !victims.is_empty() && !data.is_empty() {
-                let d = victims[salt as usize % victims.len()];
-                let byte = (salt >> 8) % data.len() as u64;
-                let flipped = data[byte as usize] ^ CORRUPT_MASK;
-                self.dpus[d].host_write(offset + byte, &[flipped])?;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(d));
-            }
-        }
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "broadcast",
-                self.phase.metric_name(),
-                self.dpus.len() as u64,
-                bytes,
-                0.0,
-                true,
-            );
-        }
-        Ok(())
-    }
-
-    fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "gather",
-                        self.phase.metric_name(),
-                        self.dpus.len() as u64,
-                        0,
-                        0.0,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
-        let out: SimResult<Vec<Vec<u8>>> = self
-            .dpus
-            .iter()
-            .map(|d| {
-                if self.fault.is_dead(d.id()) {
-                    Ok(vec![0u8; len as usize])
-                } else {
-                    d.host_read(offset, len)
-                }
-            })
-            .collect();
-        let mut out = out?;
-        if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..out.len())
-                .filter(|&d| !self.fault.is_dead(d) && !out[d].is_empty())
-                .collect();
-            if !victims.is_empty() {
-                let d = victims[salt as usize % victims.len()];
-                let byte = (salt >> 8) as usize % out[d].len();
-                out[d][byte] ^= CORRUPT_MASK;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(d));
-            }
-        }
-        let bytes = len * self.dpus.len() as u64;
-        self.transfer_bytes += bytes;
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "gather",
-                self.phase.metric_name(),
-                self.dpus.len() as u64,
-                bytes,
-                0.0,
-                true,
-            );
-        }
-        Ok(out)
-    }
-
-    fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
-    where
-        R: Send,
-        K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-    {
-        let results = self.execute_labeled_masked(label, kernel)?;
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(dpu, r)| r.ok_or(SimError::DpuDead { dpu }))
-            .collect()
-    }
-
-    fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
-    where
-        R: Send,
-        K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-    {
-        match self.fault.decide(OpKind::Launch) {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                self.record_fault("launch_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.launch(LaunchObs {
-                        label: label.to_string(),
-                        phase: self.phase.metric_name(),
-                        dpus: 0,
-                        max_cycles: 0,
-                        mean_cycles: 0.0,
-                        instructions: 0,
-                        dma_bytes: 0,
-                        seconds: 0.0,
-                        ok: false,
-                    });
-                }
-                return Err(SimError::FaultLaunch { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
-        let config = self.config;
-        let cost = self.cost;
-        let dead: Vec<bool> = self.fault.dead_flags().to_vec();
-        let results: SimResult<Vec<(Option<R>, u64)>> = self
-            .dpus
-            .par_iter_mut()
-            .map(|dpu| {
-                if dead.get(dpu.id()).copied().unwrap_or(false) {
-                    return Ok((None, 0));
-                }
-                dpu.reset_kernel_counters();
-                let mut ctx = DpuContext {
-                    dpu,
-                    config: &config,
-                    cost: &cost,
-                };
-                let r = kernel(&mut ctx)?;
-                // Cycles are data-derived (instruction and DMA counts), so
-                // the functional backend reports the same per-launch cycle
-                // observations as the timed one — only *seconds* stay zero.
-                let cycles = cost.dpu_cycles(&ctx.dpu.tasklet_instr, ctx.dpu.dma_cycles);
-                Ok((Some(r), cycles))
-            })
-            .collect();
-        let results = results?;
-        if let Some(hub) = &self.metrics {
-            let is_dead = |id: usize| dead.get(id).copied().unwrap_or(false);
-            let live = results.iter().filter(|(r, _)| r.is_some()).count() as u64;
-            let max_cycles = results.iter().map(|(_, c)| *c).max().unwrap_or(0);
-            let cycle_sum: u64 = results.iter().map(|(_, c)| *c).sum();
-            let instructions: u64 = self
-                .dpus
-                .iter()
-                .filter(|d| !is_dead(d.id()))
-                .map(|d| d.tasklet_instr.iter().sum::<u64>())
-                .sum();
-            let dma_bytes: u64 = self
-                .dpus
-                .iter()
-                .filter(|d| !is_dead(d.id()))
-                .map(|d| d.kernel_dma_bytes)
-                .sum();
-            hub.launch(LaunchObs {
-                label: label.to_string(),
-                phase: self.phase.metric_name(),
-                dpus: live,
-                max_cycles,
-                mean_cycles: if live > 0 {
-                    cycle_sum as f64 / live as f64
-                } else {
-                    0.0
-                },
-                instructions,
-                dma_bytes,
-                seconds: 0.0,
-                ok: true,
-            });
-            // Same per-DPU distribution stream as the timed backend (the
-            // cycle observations are data-derived, so both backends emit
-            // identical hist events for the same run).
-            let per_dpu_cycles: Vec<u64> = results.iter().map(|(_, c)| *c).collect();
-            let per_dpu_dma: Vec<u64> = self
-                .dpus
-                .iter()
-                .map(|d| {
-                    if is_dead(d.id()) {
-                        0
-                    } else {
-                        d.kernel_dma_bytes
-                    }
-                })
-                .collect();
-            hub.launch_hist(
-                label,
-                self.phase.metric_name(),
-                &per_dpu_cycles,
-                &per_dpu_dma,
-            );
-        }
-        Ok(results.into_iter().map(|(r, _)| r).collect())
-    }
-
-    fn is_dpu_lost(&self, dpu: usize) -> bool {
-        self.fault.is_dead(dpu)
-    }
-
-    fn fault_counters(&self) -> FaultCounters {
-        self.fault.counters()
-    }
-
-    fn total_mram_used(&self) -> u64 {
-        self.dpus.iter().map(Dpu::mram_used).sum()
-    }
-
-    fn total_transfer_bytes(&self) -> u64 {
-        self.transfer_bytes
-    }
-
-    fn total_transfer_seconds(&self) -> SimSeconds {
-        0.0
-    }
-
-    fn energy_report(&self) -> EnergyReport {
-        EnergyReport {
-            instr_j: 0.0,
-            dma_j: 0.0,
-            transfer_j: 0.0,
-            static_j: 0.0,
-        }
-    }
-
-    fn release(self) -> PhaseTimes {
-        PhaseTimes::default()
+        Engine::release(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
     use crate::system::{decode_slice, encode_slice};
 
     /// The same small pipeline, written once against the trait.
@@ -881,42 +404,101 @@ mod tests {
 
     #[test]
     fn backends_emit_equivalent_metric_streams() {
-        use pim_metrics::{summarize, MemorySink};
+        use crate::fault::FaultPlan;
+        use pim_metrics::{summarize, MemorySink, StreamSummary};
 
-        fn run<B: PimBackend>(mut sys: B) -> pim_metrics::StreamSummary {
+        /// Rounds of push, broadcast, masked launch and gather that keep
+        /// going through injected faults, logging every outcome (gathered
+        /// bytes included).
+        fn run<B: PimBackend>(config: PimConfig) -> (StreamSummary, Vec<String>, FaultCounters) {
+            let mut sys = B::allocate(4, config, CostModel::default()).unwrap();
             let hub = Arc::new(MetricsHub::new());
             let sink = MemorySink::new();
             hub.add_sink(Box::new(sink.clone()));
             sys.attach_metrics(Arc::clone(&hub));
-            drive(sys);
-            summarize(&sink.events())
+            let mut log = Vec::new();
+            for round in 0..8u32 {
+                sys.set_phase(Phase::SampleCreation);
+                let writes = (0..4)
+                    .filter(|&dpu| !sys.is_dpu_lost(dpu))
+                    .map(|dpu| HostWrite {
+                        dpu,
+                        offset: 0,
+                        data: encode_slice(&[dpu as u32 + round + 1; 8]),
+                    })
+                    .collect();
+                log.push(format!("push {:?}", sys.push(writes)));
+                let payload = encode_slice(&[round; 8]);
+                log.push(format!("broadcast {:?}", sys.broadcast(32, &payload)));
+                sys.set_phase(Phase::TriangleCount);
+                let sums = sys.execute_labeled_masked("sum", |ctx| {
+                    // Banks a failed push never reached are skipped.
+                    if ctx.mram_used() < 64 {
+                        return Ok(0);
+                    }
+                    let mut t = ctx.tasklet(0)?;
+                    let mut buf = [0u32; 16];
+                    t.mram_read(0, &mut buf)?;
+                    t.charge(16);
+                    // Corrupted words can be large, so the sum wraps.
+                    let sum = buf.iter().fold(0u32, |a, &x| a.wrapping_add(x));
+                    t.mram_write_one(64, sum)?;
+                    Ok(sum)
+                });
+                log.push(format!("launch {sums:?}"));
+                log.push(format!("gather {:?}", sys.gather(0, 68)));
+            }
+            let faults = sys.fault_counters();
+            (summarize(&sink.events()), log, faults)
         }
 
-        let timed =
-            run(
-                <TimedBackend as PimBackend>::allocate(4, PimConfig::tiny(), CostModel::default())
-                    .unwrap(),
-            );
-        let func = run(<FunctionalBackend as PimBackend>::allocate(
-            4,
-            PimConfig::tiny(),
-            CostModel::default(),
-        )
-        .unwrap());
+        let faulted =
+            FaultPlan::parse("seed=5,transfer=150000,corrupt=300000,launch=250000,kill=2@5")
+                .unwrap();
+        for fault in [None, Some(faulted)] {
+            let config = PimConfig {
+                fault,
+                ..PimConfig::tiny()
+            };
+            let (timed, timed_log, timed_faults) = run::<TimedBackend>(config);
+            let (func, func_log, func_faults) = run::<FunctionalBackend>(config);
 
-        // Same event counts, bytes, cycles, instructions on both engines.
-        assert_eq!(timed.events, func.events);
-        assert_eq!(timed.nr_dpus, func.nr_dpus);
-        assert_eq!(timed.transfer_bytes(), func.transfer_bytes());
-        assert_eq!(timed.instructions(), func.instructions());
-        assert_eq!(timed.dma_bytes(), func.dma_bytes());
-        assert_eq!(
-            timed.launches["sum"].max_cycles_total,
-            func.launches["sum"].max_cycles_total
-        );
-        // Only the clocks differ.
-        assert!(timed.total_seconds() > 0.0);
-        assert_eq!(func.total_seconds(), 0.0);
+            // Same data (corrupted bytes included) and the same faults.
+            assert_eq!(timed_log, func_log);
+            assert_eq!(timed_faults, func_faults);
+            if fault.is_some() {
+                assert!(timed_faults.transfer_faults > 0, "{timed_faults:?}");
+                assert!(timed_faults.corruptions > 0, "{timed_faults:?}");
+                assert!(timed_faults.launch_faults > 0, "{timed_faults:?}");
+                assert_eq!(timed_faults.dpu_deaths, 1);
+            }
+            // Same event counts, bytes, cycles, instructions and fault
+            // events on both engines.
+            assert_eq!(timed.events, func.events);
+            assert_eq!(timed.nr_dpus, func.nr_dpus);
+            assert_eq!(timed.transfer_bytes(), func.transfer_bytes());
+            assert_eq!(timed.instructions(), func.instructions());
+            assert_eq!(timed.dma_bytes(), func.dma_bytes());
+            let max_cycles = |s: &StreamSummary| {
+                s.launches
+                    .iter()
+                    .map(|(label, agg)| {
+                        (
+                            label.clone(),
+                            agg.launches,
+                            agg.failed,
+                            agg.max_cycles_total,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(max_cycles(&timed), max_cycles(&func));
+            assert!(timed.launches["sum"].max_cycles_total > 0);
+            assert_eq!(timed.faults, func.faults);
+            // Only the clocks differ.
+            assert!(timed.total_seconds() > 0.0);
+            assert_eq!(func.total_seconds(), 0.0);
+        }
     }
 
     #[test]

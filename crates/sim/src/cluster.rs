@@ -220,6 +220,15 @@ fn remap_err(inverse: &[Vec<u32>], total: usize, rank: usize, e: SimError) -> Si
             len,
             rule,
         },
+        SimError::NoSuchTasklet {
+            dpu,
+            tasklet,
+            nr_tasklets,
+        } => SimError::NoSuchTasklet {
+            dpu: to_global(dpu),
+            tasklet,
+            nr_tasklets,
+        },
         SimError::NoSuchDpu { dpu, .. } => SimError::NoSuchDpu {
             dpu: to_global(dpu),
             allocated: total,
@@ -227,7 +236,10 @@ fn remap_err(inverse: &[Vec<u32>], total: usize, rank: usize, e: SimError) -> Si
         SimError::DpuDead { dpu } => SimError::DpuDead {
             dpu: to_global(dpu),
         },
-        other => other,
+        // No catch-all: a new variant that names a DPU must be remapped.
+        e @ (SimError::TooManyDpus { .. }
+        | SimError::FaultTransfer { .. }
+        | SimError::FaultLaunch { .. }) => e,
     }
 }
 
@@ -1170,5 +1182,59 @@ mod tests {
             cluster.fault_counters().transfer_faults > 0,
             "a 4% rate over 32 broadcasts should have injected something"
         );
+    }
+
+    #[test]
+    fn kernel_errors_from_a_later_rank_name_the_global_dpu() {
+        use crate::system::encode_slice;
+        type Trip = fn(&mut DpuContext<'_>) -> SimResult<()>;
+        let rows: [(&str, Trip); 4] = [
+            ("BadAddress", |ctx| {
+                ctx.tasklet(0)?.mram_read_one::<u64>(1 << 12).map(drop)
+            }),
+            ("BadDma", |ctx| {
+                ctx.tasklet(0)?.mram_read_one::<u64>(4).map(drop)
+            }),
+            ("WramOverflow", |ctx| {
+                ctx.tasklet(0)?.alloc_wram::<u64>(1 << 20).map(drop)
+            }),
+            ("NoSuchTasklet", |ctx| ctx.tasklet(99).map(drop)),
+        ];
+        for (name, trip) in rows {
+            // Global DPU 3 is rank 1's local DPU 1; only its bank holds
+            // the trigger flag, so only it fails.
+            let spec = ClusterSpec::new(4, 0, 2);
+            let mut cluster = RankCluster::<FunctionalBackend>::allocate_cluster(
+                spec,
+                PimConfig::tiny(),
+                CostModel::default(),
+            )
+            .unwrap();
+            let flags = (0..4)
+                .map(|dpu| HostWrite {
+                    dpu,
+                    offset: 0,
+                    data: encode_slice(&[u64::from(dpu == 3)]),
+                })
+                .collect();
+            cluster.push(flags).unwrap();
+            let err = cluster
+                .execute(|ctx| {
+                    if ctx.tasklet(0)?.mram_read_one::<u64>(0)? == 1 {
+                        trip(ctx)
+                    } else {
+                        Ok(())
+                    }
+                })
+                .unwrap_err();
+            let dpu = match (name, &err) {
+                ("BadAddress", SimError::BadAddress { dpu, .. })
+                | ("BadDma", SimError::BadDma { dpu, .. })
+                | ("WramOverflow", SimError::WramOverflow { dpu, .. })
+                | ("NoSuchTasklet", SimError::NoSuchTasklet { dpu, .. }) => *dpu,
+                _ => panic!("{name}: unexpected error {err:?}"),
+            };
+            assert_eq!(dpu, 3, "{name} must name the global DPU id");
+        }
     }
 }

@@ -1,19 +1,28 @@
 //! The host-side view of the PIM machine: allocation, transfers, kernel
 //! launches, and phase timing.
+//!
+//! One engine, [`Engine`], drives the machine. Its `TIMED` parameter picks
+//! the clock at compile time: [`PimSystem`] (`Engine<true>`) bills every
+//! operation against the [`CostModel`], and [`crate::FunctionalBackend`]
+//! (`Engine<false>`) runs the same code with every modeled second at zero,
+//! no trace and no energy. Data, fault decisions, activity counters and
+//! the metric stream are the same on both.
 
 use crate::config::PimConfig;
 use crate::cost::{CostModel, SimSeconds};
 use crate::dpu::Dpu;
+use crate::energy::{EnergyModel, EnergyReport};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultCounters, FaultDecision, FaultState, OpKind};
 use crate::kernel::{DpuContext, Pod};
 use crate::phase::{Phase, PhaseTimes};
+use crate::trace::{Trace, TraceEvent};
 use pim_metrics::{LaunchObs, MetricsHub};
 use rayon::prelude::*;
 use std::sync::Arc;
 
 /// XOR mask applied to the victim byte of a corrupted payload.
-pub(crate) const CORRUPT_MASK: u8 = 0xA5;
+const CORRUPT_MASK: u8 = 0xA5;
 
 /// One host→DPU write request in a parallel transfer batch.
 #[derive(Clone, Debug)]
@@ -29,21 +38,28 @@ pub struct HostWrite {
 /// A set of allocated PIM cores plus the machinery to drive them:
 /// rank-parallel transfers, SPMD kernel launches, and per-phase modeled
 /// time (§4.1: Setup / Sample Creation / Triangle Count).
-pub struct PimSystem {
+///
+/// `TIMED` selects the clock; use the [`PimSystem`] and
+/// [`crate::FunctionalBackend`] aliases rather than naming it.
+pub struct Engine<const TIMED: bool> {
     config: PimConfig,
     cost: CostModel,
-    energy: crate::energy::EnergyModel,
+    energy: EnergyModel,
     dpus: Vec<Dpu>,
     times: PhaseTimes,
     phase: Phase,
     transfer_bytes: u64,
     transfer_seconds: SimSeconds,
-    trace: crate::trace::Trace,
+    trace: Trace,
     fault: FaultState,
     metrics: Option<Arc<MetricsHub>>,
 }
 
-impl PimSystem {
+/// The timed engine: the full cycle-, DMA-, transfer- and energy-accounting
+/// simulator.
+pub type PimSystem = Engine<true>;
+
+impl<const TIMED: bool> Engine<TIMED> {
     /// Allocates `nr_dpus` PIM cores, charging the setup cost (core
     /// allocation + kernel binary load) to the Setup phase.
     pub fn allocate(nr_dpus: usize, config: PimConfig, cost: CostModel) -> SimResult<Self> {
@@ -56,31 +72,39 @@ impl PimSystem {
         let dpus = (0..nr_dpus)
             .map(|id| Dpu::new(id, config.mram_capacity, config.nr_tasklets))
             .collect();
-        let mut sys = PimSystem {
+        let mut sys = Engine {
             config,
             cost,
-            energy: crate::energy::EnergyModel::default(),
+            energy: EnergyModel::default(),
             dpus,
             times: PhaseTimes::default(),
             phase: Phase::Setup,
             transfer_bytes: 0,
             transfer_seconds: 0.0,
-            trace: crate::trace::Trace::default(),
+            trace: Trace::default(),
             fault: FaultState::new(config.fault, nr_dpus),
             metrics: None,
         };
-        let setup = sys.cost.setup_seconds(nr_dpus);
+        let setup = sys.clock(|cost| cost.setup_seconds(nr_dpus));
         sys.times.add(Phase::Setup, setup);
-        sys.trace.record(crate::trace::TraceEvent::Allocate {
-            nr_dpus,
-            seconds: setup,
-        });
         Ok(sys)
     }
 
     /// Allocates with default config and cost model.
     pub fn allocate_default(nr_dpus: usize) -> SimResult<Self> {
         Self::allocate(nr_dpus, PimConfig::default(), CostModel::default())
+    }
+
+    /// The modeled seconds of one operation: `seconds` applied to the cost
+    /// model on the timed engine, zero on the functional one (where the
+    /// cost-model call compiles out).
+    #[inline]
+    fn clock(&self, seconds: impl FnOnce(&CostModel) -> SimSeconds) -> SimSeconds {
+        if TIMED {
+            seconds(&self.cost)
+        } else {
+            0.0
+        }
     }
 
     /// Number of allocated PIM cores.
@@ -124,8 +148,7 @@ impl PimSystem {
     /// Switches the phase that subsequent costs accrue to.
     pub fn set_phase(&mut self, phase: Phase) {
         if self.phase != phase {
-            self.trace
-                .record(crate::trace::TraceEvent::PhaseChange { to: phase });
+            self.trace.record(TraceEvent::PhaseChange { to: phase });
             if let Some(hub) = &self.metrics {
                 hub.phase_change(phase.metric_name());
             }
@@ -137,32 +160,32 @@ impl PimSystem {
     /// fault from now on is emitted as a structured event and folded into
     /// the hub's registry. The time accrued so far (allocation) is emitted
     /// as one `alloc` event, so the stream's seconds close against
-    /// [`PimSystem::phase_times`]. Attach immediately after allocation for
+    /// [`Engine::phase_times`]. Attach immediately after allocation for
     /// a complete stream.
     pub fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
         hub.alloc(self.dpus.len() as u64, self.times.total());
         self.metrics = Some(hub);
     }
 
-    /// Starts recording an event timeline (see [`crate::trace`]).
+    /// Starts recording an event timeline (see [`crate::trace`]); a no-op
+    /// on the functional engine, which keeps no timeline.
     ///
-    /// If enabled after allocation (the common case — the system records
-    /// its own `Allocate` event only when tracing is already on), the
-    /// time accrued so far is backfilled as one `Allocate` event, so the
-    /// timeline's total always matches [`PimSystem::phase_times`].
+    /// The time accrued before the first call (allocation) is backfilled
+    /// as one `Allocate` event, so the timeline's total always matches
+    /// [`Engine::phase_times`].
     pub fn enable_tracing(&mut self) {
-        let first_enable = !self.trace.is_enabled();
-        self.trace.enable();
-        if first_enable && self.trace.events().is_empty() {
-            self.trace.record(crate::trace::TraceEvent::Allocate {
-                nr_dpus: self.dpus.len(),
-                seconds: self.times.total(),
-            });
+        if !TIMED || self.trace.is_enabled() {
+            return;
         }
+        self.trace.enable();
+        self.trace.record(TraceEvent::Allocate {
+            nr_dpus: self.dpus.len(),
+            seconds: self.times.total(),
+        });
     }
 
     /// The recorded timeline (empty unless tracing was enabled).
-    pub fn trace(&self) -> &crate::trace::Trace {
+    pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
@@ -184,11 +207,14 @@ impl PimSystem {
         self.charge_host_seconds_labeled("host", seconds);
     }
 
-    /// Like [`PimSystem::charge_host_seconds`], but names the span so
-    /// traces show *which* host work the time went to.
+    /// Like [`Engine::charge_host_seconds`], but names the span so
+    /// traces show *which* host work the time went to. The functional
+    /// engine drops the measurement but still emits the (zero-second)
+    /// event, so span and retry sequences match the timed engine.
     pub fn charge_host_seconds_labeled(&mut self, label: &str, seconds: SimSeconds) {
+        let seconds = self.clock(|_| seconds);
         self.times.add(self.phase, seconds);
-        self.trace.record(crate::trace::TraceEvent::HostWork {
+        self.trace.record(TraceEvent::HostWork {
             label: label.to_string(),
             seconds,
             phase: self.phase,
@@ -198,9 +224,104 @@ impl PimSystem {
         }
     }
 
+    /// Records a fault event on the trace and the metrics stream.
+    fn record_fault(&mut self, kind: &'static str, op: u64, dpu: Option<usize>) {
+        self.trace.record(TraceEvent::Fault {
+            kind: kind.to_string(),
+            op,
+            dpu,
+            phase: self.phase,
+        });
+        if let Some(hub) = &self.metrics {
+            hub.fault(kind, self.phase.metric_name(), op, dpu.map(|d| d as u64));
+        }
+    }
+
+    /// Draws the fault decision for one transfer (`op` names it). A kill
+    /// ends the transfer at once; a bus failure ends it after billing the
+    /// wasted bus time. Any other decision is the caller's to apply.
+    fn transfer_decision(
+        &mut self,
+        op: &'static str,
+        writes: usize,
+        per_dpu_bytes: &[u64],
+    ) -> SimResult<FaultDecision> {
+        match self.fault.decide(OpKind::Transfer) {
+            FaultDecision::Kill { dpu, op } => {
+                self.record_fault("kill", op, Some(dpu));
+                Err(SimError::DpuDead { dpu })
+            }
+            FaultDecision::Fail { op: fault_op } => {
+                self.finish_transfer(op, writes, per_dpu_bytes, Some(fault_op));
+                Err(SimError::FaultTransfer { op: fault_op })
+            }
+            decision => Ok(decision),
+        }
+    }
+
+    /// Bills one rank-parallel transfer batch to the current phase (the
+    /// max per-DPU payload against the aggregate bandwidth cap) and writes
+    /// its trace and metric events. A transfer that fault-plan op `failed`
+    /// broke moved no bytes, but its bus time is wasted all the same; the
+    /// zero-byte span keeps the trace summing to the clock.
+    fn finish_transfer(
+        &mut self,
+        op: &'static str,
+        writes: usize,
+        per_dpu_bytes: &[u64],
+        failed: Option<u64>,
+    ) {
+        let bytes = match failed {
+            None => per_dpu_bytes.iter().sum(),
+            Some(_) => 0,
+        };
+        let seconds = self.clock(|cost| cost.transfer_seconds(per_dpu_bytes));
+        let phase = self.phase;
+        self.transfer_bytes += bytes;
+        self.transfer_seconds += seconds;
+        self.times.add(phase, seconds);
+        self.trace.record(match op {
+            "gather" => TraceEvent::Gather {
+                bytes,
+                seconds,
+                phase,
+            },
+            _ => TraceEvent::Push {
+                writes,
+                bytes,
+                seconds,
+                phase,
+            },
+        });
+        if let Some(fault_op) = failed {
+            self.record_fault("transfer_fail", fault_op, None);
+        }
+        if let Some(hub) = &self.metrics {
+            let ok = failed.is_none();
+            hub.transfer(op, phase.metric_name(), writes as u64, bytes, seconds, ok);
+        }
+    }
+
+    /// Flips the byte that `salt` picks in `data`, just written to `dpu` at
+    /// `offset`, and records the corruption.
+    fn corrupt_bank(
+        &mut self,
+        salt: u64,
+        op: u64,
+        dpu: usize,
+        offset: u64,
+        data: &[u8],
+    ) -> SimResult<()> {
+        let byte = (salt >> 8) % data.len() as u64;
+        let flipped = data[byte as usize] ^ CORRUPT_MASK;
+        self.dpus[dpu].host_write(offset + byte, &[flipped])?;
+        self.fault.count_corruption();
+        self.record_fault("corrupt", op, Some(dpu));
+        Ok(())
+    }
+
     /// Executes a rank-parallel CPU→PIM transfer batch. Data lands in MRAM
-    /// immediately; modeled time (max per-DPU payload vs. aggregate
-    /// bandwidth cap) accrues to the current phase.
+    /// immediately; modeled time accrues to the current phase.
     pub fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
         let mut per_dpu_bytes = vec![0u64; self.dpus.len()];
         for w in &writes {
@@ -215,90 +336,19 @@ impl PimSystem {
             }
             per_dpu_bytes[w.dpu] += w.data.len() as u64;
         }
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                // The bus time is wasted even though nothing lands; the
-                // zero-byte span keeps the trace summing to the clock.
-                let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-                self.transfer_seconds += seconds;
-                self.times.add(self.phase, seconds);
-                self.trace.record(crate::trace::TraceEvent::Push {
-                    writes: writes.len(),
-                    bytes: 0,
-                    seconds,
-                    phase: self.phase,
-                });
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "push",
-                        self.phase.metric_name(),
-                        writes.len() as u64,
-                        0,
-                        seconds,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
+        let decision = self.transfer_decision("push", writes.len(), &per_dpu_bytes)?;
         for w in &writes {
             self.dpus[w.dpu].host_write(w.offset, &w.data)?;
         }
         if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..writes.len())
-                .filter(|&i| !writes[i].data.is_empty())
-                .collect();
+            let victims: Vec<&HostWrite> = writes.iter().filter(|w| !w.data.is_empty()).collect();
             if !victims.is_empty() {
-                let w = &writes[victims[salt as usize % victims.len()]];
-                let byte = (salt >> 8) % w.data.len() as u64;
-                let flipped = w.data[byte as usize] ^ CORRUPT_MASK;
-                self.dpus[w.dpu].host_write(w.offset + byte, &[flipped])?;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(w.dpu));
+                let w = victims[salt as usize % victims.len()];
+                self.corrupt_bank(salt, op, w.dpu, w.offset, &w.data)?;
             }
         }
-        let bytes = per_dpu_bytes.iter().sum::<u64>();
-        self.transfer_bytes += bytes;
-        let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-        self.transfer_seconds += seconds;
-        self.times.add(self.phase, seconds);
-        self.trace.record(crate::trace::TraceEvent::Push {
-            writes: writes.len(),
-            bytes,
-            seconds,
-            phase: self.phase,
-        });
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "push",
-                self.phase.metric_name(),
-                writes.len() as u64,
-                bytes,
-                seconds,
-                true,
-            );
-        }
+        self.finish_transfer("push", writes.len(), &per_dpu_bytes, None);
         Ok(())
-    }
-
-    /// Records a fault event on the trace and the metrics stream.
-    fn record_fault(&mut self, kind: &'static str, op: u64, dpu: Option<usize>) {
-        self.trace.record(crate::trace::TraceEvent::Fault {
-            kind: kind.to_string(),
-            op,
-            dpu,
-            phase: self.phase,
-        });
-        if let Some(hub) = &self.metrics {
-            hub.fault(kind, self.phase.metric_name(), op, dpu.map(|d| d as u64));
-        }
     }
 
     /// Whether the fault plan has permanently killed `dpu`. Always false on
@@ -312,129 +362,46 @@ impl PimSystem {
         self.fault.counters()
     }
 
-    /// Broadcasts the same payload to every DPU at the same offset (UPMEM
-    /// supports this as an optimized parallel transfer; modeled as one
-    /// rank-parallel batch).
+    /// Broadcasts the same payload to every live DPU at the same offset
+    /// (UPMEM supports this as an optimized parallel transfer; modeled as
+    /// one rank-parallel batch).
     ///
     /// The payload is shared across DPUs — nothing is cloned per core, so
     /// broadcasting a large sample to thousands of DPUs costs one write
     /// per bank, not one allocation per bank. Cost accounting is identical
-    /// to [`PimSystem::push`] with the equivalent per-DPU write batch.
+    /// to [`Engine::push`] with the equivalent per-DPU write batch.
     pub fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
-        let decision = self.fault.decide(OpKind::Transfer);
-        let live: Vec<bool> = (0..self.dpus.len())
-            .map(|d| !self.fault.is_dead(d))
+        let live: Vec<usize> = (0..self.dpus.len())
+            .filter(|&d| !self.fault.is_dead(d))
             .collect();
-        let per_dpu_bytes: Vec<u64> = live
-            .iter()
-            .map(|&alive| if alive { data.len() as u64 } else { 0 })
-            .collect();
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-                self.transfer_seconds += seconds;
-                self.times.add(self.phase, seconds);
-                self.trace.record(crate::trace::TraceEvent::Push {
-                    writes: self.dpus.len(),
-                    bytes: 0,
-                    seconds,
-                    phase: self.phase,
-                });
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "broadcast",
-                        self.phase.metric_name(),
-                        self.dpus.len() as u64,
-                        0,
-                        seconds,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
+        let mut per_dpu_bytes = vec![0u64; self.dpus.len()];
+        for &d in &live {
+            per_dpu_bytes[d] = data.len() as u64;
         }
-        for dpu in &mut self.dpus {
-            if live[dpu.id()] {
-                dpu.host_write(offset, data)?;
-            }
+        let writes = self.dpus.len();
+        let decision = self.transfer_decision("broadcast", writes, &per_dpu_bytes)?;
+        for &d in &live {
+            self.dpus[d].host_write(offset, data)?;
         }
         if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..self.dpus.len()).filter(|&d| live[d]).collect();
-            if !victims.is_empty() && !data.is_empty() {
-                let d = victims[salt as usize % victims.len()];
-                let byte = (salt >> 8) % data.len() as u64;
-                let flipped = data[byte as usize] ^ CORRUPT_MASK;
-                self.dpus[d].host_write(offset + byte, &[flipped])?;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(d));
+            if !live.is_empty() && !data.is_empty() {
+                let d = live[salt as usize % live.len()];
+                self.corrupt_bank(salt, op, d, offset, data)?;
             }
         }
-        let bytes = per_dpu_bytes.iter().sum::<u64>();
-        self.transfer_bytes += bytes;
-        let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-        self.transfer_seconds += seconds;
-        self.times.add(self.phase, seconds);
-        self.trace.record(crate::trace::TraceEvent::Push {
-            writes: self.dpus.len(),
-            bytes,
-            seconds,
-            phase: self.phase,
-        });
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "broadcast",
-                self.phase.metric_name(),
-                self.dpus.len() as u64,
-                bytes,
-                seconds,
-                true,
-            );
-        }
+        self.finish_transfer("broadcast", writes, &per_dpu_bytes, None);
         Ok(())
     }
 
     /// Gathers `len` bytes at `offset` from every DPU (PIM→CPU transfer),
     /// charging one rank-parallel batch.
     pub fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                let seconds = self.cost.transfer_seconds(&vec![len; self.dpus.len()]);
-                self.transfer_seconds += seconds;
-                self.times.add(self.phase, seconds);
-                self.trace.record(crate::trace::TraceEvent::Gather {
-                    bytes: 0,
-                    seconds,
-                    phase: self.phase,
-                });
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "gather",
-                        self.phase.metric_name(),
-                        self.dpus.len() as u64,
-                        0,
-                        seconds,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
+        let rows = self.dpus.len();
+        let per_dpu_bytes = vec![len; rows];
+        let decision = self.transfer_decision("gather", rows, &per_dpu_bytes)?;
         // Dead DPUs answer with zeroed tombstones so positional indexing by
         // DPU id keeps working for the survivors.
-        let out: SimResult<Vec<Vec<u8>>> = self
+        let mut out = self
             .dpus
             .iter()
             .map(|d| {
@@ -444,8 +411,7 @@ impl PimSystem {
                     d.host_read(offset, len)
                 }
             })
-            .collect();
-        let mut out = out?;
+            .collect::<SimResult<Vec<Vec<u8>>>>()?;
         if let FaultDecision::Corrupt { salt, op } = decision {
             let victims: Vec<usize> = (0..out.len())
                 .filter(|&d| !self.fault.is_dead(d) && !out[d].is_empty())
@@ -458,31 +424,11 @@ impl PimSystem {
                 self.record_fault("corrupt", op, Some(d));
             }
         }
-        let per_dpu_bytes = vec![len; self.dpus.len()];
-        let bytes = len * self.dpus.len() as u64;
-        self.transfer_bytes += bytes;
-        let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-        self.transfer_seconds += seconds;
-        self.times.add(self.phase, seconds);
-        self.trace.record(crate::trace::TraceEvent::Gather {
-            bytes,
-            seconds,
-            phase: self.phase,
-        });
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "gather",
-                self.phase.metric_name(),
-                self.dpus.len() as u64,
-                bytes,
-                seconds,
-                true,
-            );
-        }
+        self.finish_transfer("gather", rows, &per_dpu_bytes, None);
         Ok(out)
     }
 
-    /// Typed convenience over [`PimSystem::gather`]: one `T` per DPU read
+    /// Typed convenience over [`Engine::gather`]: one `T` per DPU read
     /// from the same offset.
     pub fn gather_one<T: Pod>(&mut self, offset: u64) -> SimResult<Vec<T>> {
         Ok(self
@@ -508,7 +454,7 @@ impl PimSystem {
         self.execute_labeled("kernel", kernel)
     }
 
-    /// Like [`PimSystem::execute`], but names the launch so traces and
+    /// Like [`Engine::execute`], but names the launch so traces and
     /// [`crate::SystemReport`] launch profiles can attribute time to a
     /// specific kernel (e.g. `"sort"` vs `"count"`).
     pub fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
@@ -524,7 +470,7 @@ impl PimSystem {
             .collect()
     }
 
-    /// Like [`PimSystem::execute_labeled`], but tolerant of permanently dead
+    /// Like [`Engine::execute_labeled`], but tolerant of permanently dead
     /// DPUs: their slots come back as `None` instead of failing the launch.
     /// Fault-aware orchestrators use this to keep driving the survivors.
     pub fn execute_labeled_masked<R, K>(
@@ -544,9 +490,9 @@ impl PimSystem {
             FaultDecision::Fail { op } => {
                 // The launch round-trip is wasted before any tasklet runs;
                 // the zero-cycle span keeps the trace summing to the clock.
-                let seconds = self.cost.launch_overhead;
+                let seconds = self.clock(|cost| cost.launch_overhead);
                 self.times.add(self.phase, seconds);
-                self.trace.record(crate::trace::TraceEvent::Kernel {
+                self.trace.record(TraceEvent::Kernel {
                     label: label.to_string(),
                     max_cycles: 0,
                     seconds,
@@ -576,11 +522,12 @@ impl PimSystem {
         let config = self.config;
         let cost = self.cost;
         let dead: Vec<bool> = self.fault.dead_flags().to_vec();
-        let results: SimResult<Vec<(Option<R>, u64)>> = self
+        let is_dead = |id: usize| dead.get(id).copied().unwrap_or(false);
+        let results: Vec<(Option<R>, u64)> = self
             .dpus
             .par_iter_mut()
             .map(|dpu| {
-                if dead.get(dpu.id()).copied().unwrap_or(false) {
+                if is_dead(dpu.id()) {
                     return Ok((None, 0));
                 }
                 dpu.reset_kernel_counters();
@@ -590,30 +537,33 @@ impl PimSystem {
                     cost: &cost,
                 };
                 let r = kernel(&mut ctx)?;
+                // Cycles are data-derived (instruction and DMA counts), so
+                // both engines observe the same ones; only seconds differ.
                 let cycles = cost.dpu_cycles(&ctx.dpu.tasklet_instr, ctx.dpu.dma_cycles);
                 Ok((Some(r), cycles))
             })
-            .collect();
-        let results = results?;
-        let max_cycles = results.iter().map(|(_, c)| *c).max().unwrap_or(0);
-        let seconds = self.cost.launch_overhead + self.cost.cycles_to_seconds(max_cycles);
+            .collect::<SimResult<_>>()?;
+        let (results, per_dpu_cycles): (Vec<Option<R>>, Vec<u64>) = results.into_iter().unzip();
+        let max_cycles = per_dpu_cycles.iter().copied().max().unwrap_or(0);
+        let seconds = self.clock(|cost| cost.launch_overhead + cost.cycles_to_seconds(max_cycles));
         self.times.add(self.phase, seconds);
+        // The per-kernel counters were reset at launch, so right now they
+        // describe exactly this launch. Dead DPUs report zeros; their
+        // counters are stale leftovers from before they died.
+        let (per_dpu_instructions, per_dpu_dma_bytes): (Vec<u64>, Vec<u64>) = self
+            .dpus
+            .iter()
+            .map(|d| {
+                if is_dead(d.id()) {
+                    (0, 0)
+                } else {
+                    (d.tasklet_instr.iter().sum(), d.kernel_dma_bytes)
+                }
+            })
+            .unzip();
         if let Some(hub) = &self.metrics {
-            let is_dead = |id: usize| dead.get(id).copied().unwrap_or(false);
-            let live = results.iter().filter(|(r, _)| r.is_some()).count() as u64;
-            let cycle_sum: u64 = results.iter().map(|(_, c)| *c).sum();
-            let instructions: u64 = self
-                .dpus
-                .iter()
-                .filter(|d| !is_dead(d.id()))
-                .map(|d| d.tasklet_instr.iter().sum::<u64>())
-                .sum();
-            let dma_bytes: u64 = self
-                .dpus
-                .iter()
-                .filter(|d| !is_dead(d.id()))
-                .map(|d| d.kernel_dma_bytes)
-                .sum();
+            let live = results.iter().filter(|r| r.is_some()).count() as u64;
+            let cycle_sum: u64 = per_dpu_cycles.iter().sum();
             hub.launch(LaunchObs {
                 label: label.to_string(),
                 phase: self.phase.metric_name(),
@@ -624,8 +574,8 @@ impl PimSystem {
                 } else {
                     0.0
                 },
-                instructions,
-                dma_bytes,
+                instructions: per_dpu_instructions.iter().sum(),
+                dma_bytes: per_dpu_dma_bytes.iter().sum(),
                 seconds,
                 ok: true,
             });
@@ -633,61 +583,23 @@ impl PimSystem {
             // the same vectors the trace's Kernel events carry) so the
             // hist event's p50/p99/imbalance reconcile exactly with the
             // final report's LaunchProfile.
-            let per_dpu_cycles: Vec<u64> = results.iter().map(|(_, c)| *c).collect();
-            let per_dpu_dma: Vec<u64> = self
-                .dpus
-                .iter()
-                .map(|d| {
-                    if is_dead(d.id()) {
-                        0
-                    } else {
-                        d.kernel_dma_bytes
-                    }
-                })
-                .collect();
             hub.launch_hist(
                 label,
                 self.phase.metric_name(),
                 &per_dpu_cycles,
-                &per_dpu_dma,
+                &per_dpu_dma_bytes,
             );
         }
-        if self.trace.is_enabled() {
-            // The per-kernel counters were reset at launch, so right now
-            // they describe exactly this launch. Dead DPUs report zeros;
-            // their counters are stale leftovers from before they died.
-            let is_dead = |id: usize| dead.get(id).copied().unwrap_or(false);
-            self.trace.record(crate::trace::TraceEvent::Kernel {
-                label: label.to_string(),
-                max_cycles,
-                seconds,
-                phase: self.phase,
-                per_dpu_cycles: results.iter().map(|(_, c)| *c).collect(),
-                per_dpu_instructions: self
-                    .dpus
-                    .iter()
-                    .map(|d| {
-                        if is_dead(d.id()) {
-                            0
-                        } else {
-                            d.tasklet_instr.iter().sum()
-                        }
-                    })
-                    .collect(),
-                per_dpu_dma_bytes: self
-                    .dpus
-                    .iter()
-                    .map(|d| {
-                        if is_dead(d.id()) {
-                            0
-                        } else {
-                            d.kernel_dma_bytes
-                        }
-                    })
-                    .collect(),
-            });
-        }
-        Ok(results.into_iter().map(|(r, _)| r).collect())
+        self.trace.record(TraceEvent::Kernel {
+            label: label.to_string(),
+            max_cycles,
+            seconds,
+            phase: self.phase,
+            per_dpu_cycles,
+            per_dpu_instructions,
+            per_dpu_dma_bytes,
+        });
+        Ok(results)
     }
 
     /// Sum of MRAM bytes in use across all DPUs.
@@ -696,7 +608,7 @@ impl PimSystem {
     }
 
     /// Overrides the energy coefficients (defaults are UPMEM-calibrated).
-    pub fn set_energy_model(&mut self, energy: crate::energy::EnergyModel) {
+    pub fn set_energy_model(&mut self, energy: EnergyModel) {
         self.energy = energy;
     }
 
@@ -706,7 +618,7 @@ impl PimSystem {
     }
 
     /// Total modeled seconds spent on CPU<->PIM transfers so far. Together
-    /// with [`PimSystem::total_transfer_bytes`] this gives the achieved
+    /// with [`Engine::total_transfer_bytes`] this gives the achieved
     /// transfer bandwidth, comparable against the cost model's aggregate
     /// bandwidth cap.
     pub fn total_transfer_seconds(&self) -> SimSeconds {
@@ -714,8 +626,12 @@ impl PimSystem {
     }
 
     /// Energy totals for everything executed so far, derived from the
-    /// lifetime activity counters and the modeled runtime.
-    pub fn energy_report(&self) -> crate::energy::EnergyReport {
+    /// lifetime activity counters and the modeled runtime (all-zero on the
+    /// functional engine).
+    pub fn energy_report(&self) -> EnergyReport {
+        if !TIMED {
+            return EnergyReport::default();
+        }
         let instructions: u64 = self.dpus.iter().map(Dpu::lifetime_instructions).sum();
         let dma_bytes: u64 = self.dpus.iter().map(Dpu::lifetime_dma_bytes).sum();
         self.energy.report(
